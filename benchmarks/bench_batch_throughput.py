@@ -8,7 +8,9 @@ by CI on a small size and by hand on the full one.  It measures
    kernel vs. the label-level reference kernel on planted interval
    ensembles (the acceptance bar is >= 3x at 1000 atoms), and
 2. **batch throughput** — ``solve_many`` instances/sec solving a fleet of
-   instances serially vs. over a process pool.
+   instances serially vs. over a cold transient pool per call
+   (``processes=N``: a :class:`repro.serve.ServePool` spawned, used and
+   closed inside the call, its start-up included in the timing).
 
 Results are printed as a table and recorded as JSON (``--json``).
 
@@ -68,7 +70,7 @@ def run(
     indexed_s = _time_solver(probe, "indexed")
     speedup = reference_s / indexed_s if indexed_s > 0 else float("inf")
 
-    # 2. batch throughput: serial vs process pool over the whole fleet.
+    # 2. batch throughput: serial vs a cold transient pool over the whole fleet.
     start = time.perf_counter()
     serial_results = solve_many(fleet, processes=None)
     serial_s = time.perf_counter() - start
@@ -79,7 +81,7 @@ def run(
     pool_results = solve_many(fleet, processes=processes)
     pool_s = time.perf_counter() - start
     if not all(r.ok for r in pool_results):
-        raise SystemExit("batch pool run rejected a planted C1P instance")
+        raise SystemExit("transient pool run rejected a planted C1P instance")
 
     workers = processes if processes else (os.cpu_count() or 1)
     return {
@@ -118,7 +120,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--processes", type=int, default=0,
-        help="pool workers for the batch comparison (0 = one per CPU)",
+        help="transient pool workers for the batch comparison (0 = one per CPU)",
     )
     parser.add_argument("--max-len", type=int, default=40, help="max interval length")
     parser.add_argument("--json", metavar="PATH", help="write the result record to PATH")
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
           f"speedup {single['speedup']:.2f}x")
     print(f"  batch serial      {batch['serial_seconds']:.3f}s   "
           f"{batch['serial_instances_per_second']:.2f} instances/sec")
-    print(f"  batch pool ({batch['pool_workers']} workers)   "
+    print(f"  batch transient pool ({batch['pool_workers']} workers)   "
           f"{batch['pool_seconds']:.3f}s   "
           f"{batch['pool_instances_per_second']:.2f} instances/sec   "
           f"({batch['pool_speedup']:.2f}x serial)")

@@ -1,30 +1,31 @@
-"""E9 — serving-pool dispatch: warm shared-memory vs. pickled cold pools.
+"""E9 — serving-pool dispatch: one warm pool vs. a cold transient pool per call.
 
 Standalone JSON gate for the ``repro.serve`` layer (DESIGN.md,
 Substitution 5).  The workload is the shape that motivated the subsystem:
 a long-lived stream of *many small instances*, arriving in groups of
-``--arrival-batch``, where per-call dispatch cost — executor cold start
-plus label-level ensemble pickling — dominates actual solving.  Both
-dispatch paths see the *identical* arrival granularity and worker count,
-so the measured difference is pure dispatch machinery:
+``--arrival-batch``, where per-call dispatch cost — pool cold start plus
+per-group bundling — dominates actual solving.  Both paths run the same
+pool code over the packed shared-memory wire format and see the
+*identical* arrival granularity and worker count, so the measured
+difference is what keeping the workers warm buys:
 
-1. **pickled cold pools** — one ``solve_many(group, processes=W)`` call
-   per arriving group, the one-shot way: a fresh ``ProcessPoolExecutor``
-   forked per call, every sub-ensemble pickled per task;
+1. **cold transient pools** — one ``solve_many(group, processes=W)`` call
+   per arriving group, the one-shot way: a transient
+   :class:`repro.serve.ServePool` spawned, used and closed per call;
 2. **warm shared memory** — the same groups through one long-lived
-   :class:`repro.serve.ServePool`: spawn-once workers fed packed bitmask
-   bundles via ``multiprocessing.shared_memory`` (pool construction is
-   excluded — that is the point of a warm pool);
+   ``ServePool``: spawn-once workers fed packed bitmask bundles via
+   ``multiprocessing.shared_memory`` (pool construction is excluded —
+   that is the point of a warm pool);
 3. **amortized single call** (informational) — the whole fleet in ONE
-   call on each path, where the executor amortizes its cold start across
-   every instance; reported so the JSON records both ends of the arrival
-   spectrum;
+   call on each path, where the transient pool amortizes its cold start
+   across every instance; reported so the JSON records both ends of the
+   arrival spectrum;
 4. **submit→result latency** — a two-instance ping, cold pool vs. warm.
 
 Gates: ``--require-speedup X`` fails unless warm shared-memory dispatch
-reaches ``X ×`` the pickled cold-pool throughput at arrival granularity
+reaches ``X ×`` the cold transient-pool throughput at arrival granularity
 (acceptance bar: 2.0 on a fleet of >= 200 small instances; CI smoke: 1.0 —
-shared memory must never lose), and ``--require-latency-speedup Y`` the
+a warm pool must never lose), and ``--require-latency-speedup Y`` the
 same for the latency ping.  The two paths are differentially checked
 against each other before any timing is reported.
 
@@ -166,14 +167,14 @@ def run(
             "wire_payload_bytes_per_task": payload_bytes,
         },
         "throughput": {
-            "pickled_cold_pool_seconds": cold_s,
-            "pickled_cold_pool_instances_per_second": instances / cold_s,
+            "cold_transient_pool_seconds": cold_s,
+            "cold_transient_pool_instances_per_second": instances / cold_s,
             "warm_shared_memory_seconds": warm_s,
             "warm_shared_memory_instances_per_second": instances / warm_s,
             "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         },
         "amortized_single_call": {
-            "pickled_cold_pool_seconds": cold_amortized_s,
+            "cold_transient_pool_seconds": cold_amortized_s,
             "warm_shared_memory_seconds": warm_amortized_s,
             "speedup": cold_amortized_s / warm_amortized_s
             if warm_amortized_s > 0
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument("--columns", type=int, default=10)
     parser.add_argument("--arrival-batch", type=int, default=3,
                         help="instances arriving per serving call "
-                        "(each cold call pays pool startup + pickling)")
+                        "(each cold call pays a transient pool's startup)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions; best-of is reported")
     parser.add_argument("--processes", type=int, default=0,
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
                         help="write the result record to PATH")
     parser.add_argument("--require-speedup", type=float, default=None, metavar="X",
                         help="exit non-zero when warm shared-memory throughput "
-                        "falls below X times the pickled cold pool")
+                        "falls below X times a cold transient pool per call")
     parser.add_argument("--require-latency-speedup", type=float, default=None,
                         metavar="Y",
                         help="exit non-zero when the warm-pool latency advantage "
@@ -226,12 +227,12 @@ def main(argv=None) -> int:
           f"{args.instances} instances in groups of {args.arrival_batch}, "
           f"{record['workload']['workers']} workers, "
           f"{record['workload']['wire_payload_bytes_per_task']} wire bytes/task)")
-    print(f"  pickled cold pools   {tp['pickled_cold_pool_seconds']:.3f}s   "
-          f"{tp['pickled_cold_pool_instances_per_second']:.1f} instances/sec")
+    print(f"  cold transient pools {tp['cold_transient_pool_seconds']:.3f}s   "
+          f"{tp['cold_transient_pool_instances_per_second']:.1f} instances/sec")
     print(f"  warm shared memory   {tp['warm_shared_memory_seconds']:.3f}s   "
           f"{tp['warm_shared_memory_instances_per_second']:.1f} instances/sec   "
           f"({tp['speedup']:.2f}x)")
-    print(f"  amortized single call   cold {amortized['pickled_cold_pool_seconds']:.3f}s   "
+    print(f"  amortized single call   cold {amortized['cold_transient_pool_seconds']:.3f}s   "
           f"warm {amortized['warm_shared_memory_seconds']:.3f}s   "
           f"({amortized['speedup']:.2f}x)")
     print(f"  latency (2-instance ping)   cold {lat['cold_start_seconds'] * 1e3:.1f}ms   "

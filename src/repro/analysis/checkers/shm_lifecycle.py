@@ -32,7 +32,7 @@ Two companion invariants keep deletions of existing cleanup honest:
 * a module that hands segment ownership into the object graph (bare
   call-argument or attribute store) must contain at least one release
   applied to an attribute-held segment (e.g.
-  ``_unlink_quietly(inflight.segment)``) — deleting the last such call
+  ``unlink_quietly(inflight.segment)``) — deleting the last such call
   site is flagged even though the store and the release live in
   different functions.
 
@@ -381,7 +381,7 @@ class ShmLifecycleChecker:
                 and _SEGMENTISH.search(func.value.attr)
             ):
                 return True
-            # _unlink_quietly(inflight.segment)
+            # unlink_quietly(inflight.segment)
             name = terminal_name(func)
             if name and _RELEASER_NAME.search(name):
                 if any(

@@ -8,14 +8,16 @@ payload fails at submit time on spawn platforms; an open handle, a
 legibly; a worker entry reading a module global the parent mutates
 after import silently computes with stale state under ``spawn``.
 
-The checker applies to modules importing ``multiprocessing`` or
-``concurrent.futures`` and enforces, conservatively:
+The checker applies to modules importing ``multiprocessing``, the
+standard library's process-pool executors, or the worker-fleet core
+(:mod:`repro.serve.fleet`) and enforces, conservatively:
 
-1. **worker entries** (``Process(target=...)`` targets and the
-   functions handed to ``executor.map``/``executor.submit``) must be
-   module-level named functions — never lambdas or locally-defined
-   closures — and must not read module globals that other functions
-   rebind through ``global``;
+1. **worker entries** (``Process(target=...)`` targets, the handler
+   handed to ``Fleet(workers, handler, ...)`` — which the core runs in
+   every worker — and the functions handed to
+   ``executor.map``/``executor.submit``) must be module-level named
+   functions — never lambdas or locally-defined closures — and must not
+   read module globals that other functions rebind through ``global``;
 2. **channel payloads** (arguments of ``.put()``/``.put_nowait()`` and
    ``.send()`` on queue/pipe-named receivers) must not contain lambdas,
    locally-defined functions, or names bound to synchronisation
@@ -27,10 +29,9 @@ The checker applies to modules importing ``multiprocessing`` or
    convention* (documented caveats), but that is a baseline-with-
    justification decision, not a silent default.
 
-Rule 3 is deliberately strict: ``repro.batch`` ships ``Ensemble``
-payloads whose atom labels are only contractually picklable — those two
-findings are baselined with the documented contract as justification,
-which is exactly the visibility the rule exists to create.
+Rule 3 is deliberately strict: a payload that is picklable only by
+documented contract belongs in the baseline with that contract as its
+justification, which is exactly the visibility the rule exists to create.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from ..core import Finding, ModuleInfo, Project, terminal_name
 
 RULE = "spawn-safety"
 
+#: roots of the imports that put a module in scope; ``fleet`` is the
+#: worker-fleet core, whose handler argument is a worker entry.
+_SPAWNING_ROOTS = frozenset({"multiprocessing", "concurrent"})
+_FLEET_MODULE = "fleet"
+_FLEET_CLASS = "Fleet"
 _CHANNEL_METHODS = frozenset({"put", "put_nowait", "send"})
 _CHANNEL_RECEIVER = re.compile(r"(^|_)(q|queue|conn|pipe)s?$|_q$|_conn$", re.I)
 _EXECUTORISH = re.compile(r"executor|pool", re.IGNORECASE)
@@ -91,18 +97,21 @@ _PICKLABLE_ATOMS = frozenset(
 )
 
 
-def _imports_multiprocessing(module: ModuleInfo) -> bool:
+def _spawns_workers(module: ModuleInfo) -> bool:
+    """The module imports process machinery or the worker-fleet core."""
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
-            if any(
-                alias.name.split(".")[0] in ("multiprocessing", "concurrent")
-                for alias in node.names
-            ):
-                return True
+            names = [alias.name.split(".") for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            root = (node.module or "").split(".")[0]
-            if root in ("multiprocessing", "concurrent"):
-                return True
+            base = (node.module or "").split(".")
+            names = [base] + [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        if any(
+            parts[0] in _SPAWNING_ROOTS or parts[-1] == _FLEET_MODULE
+            for parts in names
+        ):
+            return True
     return False
 
 
@@ -138,7 +147,7 @@ class SpawnSafetyChecker:
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            if not _imports_multiprocessing(module):
+            if not _spawns_workers(module):
                 continue
             yield from self._check_module(module)
 
@@ -196,6 +205,11 @@ class SpawnSafetyChecker:
                 if kw.arg == "target":
                     return kw.value
             return None
+        if name == _FLEET_CLASS:
+            for kw in call.keywords:
+                if kw.arg == "handler":
+                    return kw.value
+            return call.args[1] if len(call.args) > 1 else None
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in ("map", "submit")

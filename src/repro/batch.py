@@ -1,4 +1,4 @@
-"""Batch / throughput layer: solve many instances across a process pool.
+"""Batch / throughput layer: solve many instances, serially or across processes.
 
 The paper's parallelism argument is about depth within a *single* instance;
 the serving workloads that motivate scaling this reproduction (physical
@@ -6,39 +6,37 @@ mapping pipelines, Tucker-pattern screens over many candidate matrices) are
 embarrassingly parallel *across* instances.  :func:`solve_many` exploits
 both axes of independence:
 
-* independent **instances** are fanned out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`;
+* independent **instances** are fanned out over the worker processes of a
+  :class:`repro.serve.ServePool` — a transient one that lives for the call
+  with ``processes=N``, or a warm one you keep with ``pool=``;
 * within a linear instance, independent **connected components** (after
   trivial and full columns — which never constrain a linear layout — are
-  dropped) are dispatched as separate pool tasks and their layouts
+  dropped) are dispatched as separate tasks and their layouts
   concatenated, so one huge disconnected matrix also saturates the pool.
 
 Every task runs the integer-indexed kernel by default (see
 :mod:`repro.core.indexed`); pass ``kernel="reference"`` to fan out the
-label-level reference solver instead.  Atom labels must be picklable when a
-pool is used (plain ints/strings always are).  With ``certify=True`` one
-executor serves both the solve fan-out and the witness extractions for
-rejected instances — a second pool is never spun up.
+label-level reference solver instead.  Atom labels must be picklable when
+worker processes are used (plain ints/strings always are): the packed
+shared-memory wire format of :mod:`repro.serve.wire` pickles each distinct
+label once.  With ``certify=True`` the same pool serves both the solves and
+the witness extractions for rejected instances.
 
-For *long-lived* streams of instances, the one-shot executor here is the
-wrong shape: it cold-starts per call and pickles whole label-level
-sub-ensembles per task.  Pass ``pool=`` a warm
-:class:`repro.serve.ServePool` to route the same call — identical results,
-certificates included — through persistent workers fed via the packed
-shared-memory wire format of :mod:`repro.serve.wire`, or use the pool's
-``solve_stream`` directly for completion-order streaming (CLI:
-``python -m repro serve``).
+Both process paths are the one ``pool.solve_many`` call, so results,
+certificates and traces are the same either way.  A transient pool pays
+its workers' start-up on every call; for a long-lived stream of instances
+keep a warm pool and pass it as ``pool=``, or use its ``solve_stream`` for
+completion-order streaming (CLI: ``python -m repro serve``).
 
 The CLI front end is ``python -m repro batch`` (see :mod:`repro.cli`);
 ``benchmarks/bench_batch_throughput.py`` measures one-shot instances/sec
-and ``benchmarks/bench_serve_throughput.py`` gates warm shared-memory
-dispatch against it.
+and ``benchmarks/bench_serve_throughput.py`` gates warm dispatch against a
+cold transient pool per call.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterable
 
@@ -121,77 +119,8 @@ def _json_label(label):
 
 
 # ---------------------------------------------------------------------- #
-# pool plumbing
+# plumbing (the split and the witness remap are shared with repro.serve)
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _Task:
-    """One pool work item: a (sub-)ensemble tagged with its reassembly slot."""
-
-    index: int
-    part: int
-    ensemble: Ensemble
-    circular: bool
-    kernel: str
-    engine: str | None
-
-
-def _solve_task(task: _Task) -> tuple[int, int, list | None]:
-    solve = cycle_realization if task.circular else path_realization
-    return task.index, task.part, solve(
-        task.ensemble, kernel=task.kernel, engine=task.engine
-    )
-
-
-def _solve_serial(
-    tasks: list[_Task], parallel: int | None
-) -> list[tuple[int, int, list | None]]:
-    """Solve every task in-process, in order.
-
-    With ``parallel`` > 1 on the indexed kernel, one
-    :class:`repro.parallel.ParallelSolver` is reused across all tasks so its
-    spawn-once slice workers amortise over the batch; its cost model still
-    decides per task whether fanning out beats the serial kernel, and either
-    way the layouts are byte-for-byte those of the serial kernel.
-    """
-    if parallel is None or parallel < 2 or not tasks or tasks[0].kernel != "indexed":
-        return [_solve_task(task) for task in tasks]
-    from .parallel.solver import ParallelSolver
-
-    outcomes: list[tuple[int, int, list | None]] = []
-    with ParallelSolver(parallel) as solver:
-        for task in tasks:
-            if task.circular:
-                order = solver.solve_cycle(task.ensemble, engine=task.engine)
-            else:
-                order = solver.solve_path(task.ensemble, engine=task.engine)
-            outcomes.append((task.index, task.part, order))
-    return outcomes
-
-
-@dataclass(frozen=True)
-class _CertifyTask:
-    """One witness-extraction work item for a rejected instance."""
-
-    index: int
-    ensemble: Ensemble
-    circular: bool
-    kernel: str
-    engine: str | None
-
-
-def _certify_task(task: _CertifyTask) -> tuple[int, object]:
-    from .certify.witness import extract_tucker_witness
-
-    witness = extract_tucker_witness(
-        task.ensemble,
-        kernel=task.kernel,
-        engine=task.engine,
-        circular=task.circular,
-        assume_rejected=True,
-    )
-    return task.index, witness
-
-
 def _component_witness_remap(witness, original: Ensemble, sub: Ensemble):
     """Re-index a component witness to the original instance's columns.
 
@@ -251,14 +180,24 @@ def _split_mode(split_components: bool, circular: bool) -> str:
     return "components"
 
 
-def _resolve_workers(processes: int | None, num_tasks: int) -> int:
+def _resolve_workers(
+    processes: int | None, instances: list[Ensemble], split: str
+) -> int:
+    """Worker processes for one call: never more than it has tasks."""
     if processes is None:
         return 1
     if processes < 0:
         raise ValueError(f"processes must be >= 0, got {processes}")
-    if processes == 0:
-        return min(num_tasks, os.cpu_count() or 1)
-    return min(num_tasks, processes)
+    wanted = processes or (os.cpu_count() or 1)
+    tasks = 0
+    for ensemble in instances:
+        if split == "components":
+            tasks += len(_linear_component_ensembles(ensemble))
+        else:
+            tasks += 1
+        if tasks >= wanted:
+            return wanted
+    return tasks
 
 
 def solve_many(
@@ -287,7 +226,10 @@ def solve_many(
     processes:
         ``None`` solves serially in-process (the default — deterministic and
         dependency-free); ``0`` uses one worker per CPU; any other value is
-        the worker count.  A single-task workload always runs serially.
+        the worker count, capped at the number of tasks.  The workers are a
+        transient :class:`repro.serve.ServePool` that lives for this call,
+        driven exactly as ``pool=`` drives a warm one.  A single-task
+        workload always runs serially.
     kernel:
         Execution engine per task, as in :func:`repro.core.path_realization`.
     engine:
@@ -296,7 +238,7 @@ def solve_many(
         honour the selection too.
     split_components:
         For linear instances, dispatch independent connected components as
-        separate pool tasks and concatenate their layouts.  Circular
+        separate tasks and concatenate their layouts.  Circular
         instances are never split (component structure only emerges after
         the solver's column normalisation); when splitting is requested on a
         circular call the skip is recorded explicitly as
@@ -310,14 +252,13 @@ def solve_many(
         ones.  A rejected split instance extracts its witness from the
         failed component's sub-ensemble — reusing the narrowing the solve
         already computed — and the witness rows are re-indexed so they
-        refer to the input columns.  Witness extractions for rejected
-        instances reuse the *same* executor as the solve fan-out.
+        refer to the input columns.  With worker processes, witness
+        extractions ride the *same* pool as the solves.
     pool:
         A warm :class:`repro.serve.ServePool`.  When given, every task —
         solves and witness extractions alike — is dispatched through the
-        persistent workers over the packed shared-memory wire format
-        instead of a freshly forked executor, and ``processes`` is ignored.
-        Results are identical, in the same order.
+        persistent workers over the packed shared-memory wire format, and
+        ``processes`` is ignored.  Results are identical, in the same order.
     parallel:
         Intra-instance workers (``repro.core.path_realization``'s
         ``parallel=``): each instance is solved through one reused
@@ -327,12 +268,10 @@ def solve_many(
         instances) and composing them would oversubscribe the machine — and
         rejected by ``pool=`` (serve workers are single-process by design).
     trace:
-        A :class:`repro.obs.Tracer` recording phase spans for the batch.
-        Honoured on the serial path (including ``parallel=``, whose
-        worker-side spans are stitched back) and through ``pool=``;
-        ``processes=`` fan-out runs untraced — a fresh
-        ``ProcessPoolExecutor`` has no result channel for span records,
-        unlike the pool's and the slice executor's single-writer pipes.
+        A :class:`repro.obs.Tracer` recording phase spans for the batch, on
+        every path: serially, and through the worker processes of
+        ``processes=``, ``pool=`` and ``parallel=``, whose worker-side spans
+        are stitched back under their dispatch spans.
     cache:
         A :class:`repro.incremental.ResultCache` fronting the pool:
         relabeled duplicate instances are answered from the store instead
@@ -367,7 +306,21 @@ def solve_many(
                 "repro.incremental.cached_solve / IncrementalSolver for the "
                 "in-process equivalents)"
             )
-    if pool is not None:
+    transient = None
+    if pool is None:
+        instances = list(ensembles)
+        split = _split_mode(split_components, circular)
+        workers = _resolve_workers(processes, instances, split)
+        if workers < 2:
+            with use_tracer(trace if trace is not None else current_tracer()):
+                return _solve_in_process(
+                    instances, split, circular, kernel, engine, certify, parallel
+                )
+        from .serve.pool import ServePool
+
+        ensembles = instances
+        pool = transient = ServePool(workers)
+    try:
         return pool.solve_many(
             ensembles,
             circular=circular,
@@ -380,77 +333,71 @@ def solve_many(
             cache=cache,
             incremental=incremental,
         )
-    instances = list(ensembles)
-    split = _split_mode(split_components, circular)
-    tasks: list[_Task] = []
-    subs_per_instance: list[list[Ensemble]] = []
-    for index, ensemble in enumerate(instances):
-        if split == "components":
-            subs = _linear_component_ensembles(ensemble)
-        else:
-            subs = [ensemble]
-        for part, sub in enumerate(subs):
-            tasks.append(_Task(index, part, sub, circular, kernel, engine))
-        subs_per_instance.append(subs)
-
-    workers = _resolve_workers(processes, max(1, len(tasks)))
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    tracer = trace if trace is not None else current_tracer()
-    try:
-        if executor is None:
-            with use_tracer(tracer):
-                outcomes = _solve_serial(tasks, parallel)
-        else:
-            chunksize = max(1, len(tasks) // (workers * 4))
-            outcomes = list(executor.map(_solve_task, tasks, chunksize=chunksize))
-
-        # Reassemble: concatenate component layouts in component order; a
-        # single failed component fails its whole instance.
-        orders: dict[int, list[list | None]] = {
-            index: [None] * len(subs)
-            for index, subs in enumerate(subs_per_instance)
-        }
-        for index, part, order in outcomes:
-            orders[index][part] = order
-
-        results: list[BatchResult] = []
-        for index, ensemble in enumerate(instances):
-            pieces = orders[index]
-            if any(piece is None for piece in pieces):
-                combined: list | None = None
-            else:
-                combined = [atom for piece in pieces for atom in piece]
-            results.append(
-                BatchResult(
-                    index=index,
-                    order=combined,
-                    num_atoms=ensemble.num_atoms,
-                    num_columns=ensemble.num_columns,
-                    parts=len(subs_per_instance[index]),
-                    status="realized" if combined is not None else "rejected",
-                    split=split,
-                )
-            )
-
-        if certify:
-            # The serial extraction path reads the ambient tracer;
-            # executor-dispatched extractions run in other processes and
-            # stay untraced (no result channel carries spans back).
-            with use_tracer(tracer):
-                _attach_certificates(
-                    results,
-                    instances,
-                    subs_per_instance,
-                    orders,
-                    circular,
-                    kernel,
-                    engine,
-                    executor,
-                    workers,
-                )
     finally:
-        if executor is not None:
-            executor.shutdown()
+        if transient is not None:
+            transient.close()
+
+
+def _solve_in_process(
+    instances: list[Ensemble],
+    split: str,
+    circular: bool,
+    kernel: str,
+    engine: str | None,
+    certify: bool,
+    parallel: int | None,
+) -> list[BatchResult]:
+    """:func:`solve_many` on the calling process, under the ambient tracer.
+
+    With ``parallel`` > 1 on the indexed kernel, one
+    :class:`repro.parallel.ParallelSolver` is reused across all tasks so its
+    spawn-once slice workers amortise over the batch; its cost model still
+    decides per task whether fanning out beats the serial kernel, and either
+    way the layouts are byte-for-byte those of the serial kernel.
+    """
+    subs_per_instance = [
+        _linear_component_ensembles(ensemble) if split == "components" else [ensemble]
+        for ensemble in instances
+    ]
+    if parallel is not None and parallel >= 2 and kernel == "indexed":
+        from .parallel.solver import ParallelSolver
+
+        with ParallelSolver(parallel) as solver:
+            solve = solver.solve_cycle if circular else solver.solve_path
+            orders = [
+                [solve(sub, engine=engine) for sub in subs]
+                for subs in subs_per_instance
+            ]
+    else:
+        solve = cycle_realization if circular else path_realization
+        orders = [
+            [solve(sub, kernel=kernel, engine=engine) for sub in subs]
+            for subs in subs_per_instance
+        ]
+
+    # Reassemble: concatenate component layouts in component order; a
+    # single failed component fails its whole instance.
+    results: list[BatchResult] = []
+    for index, (ensemble, pieces) in enumerate(zip(instances, orders)):
+        if any(piece is None for piece in pieces):
+            combined: list | None = None
+        else:
+            combined = [atom for piece in pieces for atom in piece]
+        results.append(
+            BatchResult(
+                index=index,
+                order=combined,
+                num_atoms=ensemble.num_atoms,
+                num_columns=ensemble.num_columns,
+                parts=len(pieces),
+                status="realized" if combined is not None else "rejected",
+                split=split,
+            )
+        )
+    if certify:
+        _attach_certificates(
+            results, instances, subs_per_instance, orders, circular, kernel, engine
+        )
     return results
 
 
@@ -458,50 +405,38 @@ def _attach_certificates(
     results: list[BatchResult],
     instances: list[Ensemble],
     subs_per_instance: list[list[Ensemble]],
-    orders: dict[int, list[list | None]],
+    orders: list[list[list | None]],
     circular: bool,
     kernel: str,
     engine: str | None,
-    executor: ProcessPoolExecutor | None,
-    workers: int,
 ) -> None:
     """Fill ``result.certificate`` in place for every instance.
 
-    Realized instances get their layout wrapped as an ``OrderCertificate``
-    (cheap, done inline).  Rejected instances need a witness extraction —
-    many narrowing re-solves each — so those reuse the solve fan-out's
-    ``executor`` (already warm; no second pool is ever created), chunked
-    like the solve map.  A rejected split instance extracts from its first
-    *failed component's* sub-ensemble — the narrowing the solve already
-    paid for — and the witness rows are re-indexed to the input columns by
+    Realized instances get their layout wrapped as an ``OrderCertificate``.
+    A rejected instance extracts its witness from its first *failed
+    component's* sub-ensemble — the narrowing the solve already paid for —
+    and the witness rows are re-indexed to the input columns by
     :func:`_component_witness_remap`, instead of re-running the extraction
     against the full instance.
     """
     from .certify.certificates import OrderCertificate
+    from .certify.witness import extract_tucker_witness
 
     kind = "circular" if circular else "consecutive"
-    rejected: list[_CertifyTask] = []
-    sources: dict[int, Ensemble] = {}
-    for result in results:
+    for result, ensemble, subs, pieces in zip(
+        results, instances, subs_per_instance, orders
+    ):
         if result.order is not None:
             result.certificate = OrderCertificate(kind, tuple(result.order))
-        else:
-            subs = subs_per_instance[result.index]
-            failed = orders[result.index].index(None)
-            sources[result.index] = subs[failed]
-            rejected.append(
-                _CertifyTask(result.index, subs[failed], circular, kernel, engine)
-            )
-    if not rejected:
-        return
-
-    if executor is None:
-        outcomes = [_certify_task(task) for task in rejected]
-    else:
-        chunksize = max(1, len(rejected) // (workers * 4))
-        outcomes = list(executor.map(_certify_task, rejected, chunksize=chunksize))
-    for index, witness in outcomes:
-        source = sources[index]
-        if source is not instances[index]:
-            witness = _component_witness_remap(witness, instances[index], source)
-        results[index].certificate = witness
+            continue
+        source = subs[pieces.index(None)]
+        witness = extract_tucker_witness(
+            source,
+            kernel=kernel,
+            engine=engine,
+            circular=circular,
+            assume_rejected=True,
+        )
+        if source is not ensemble:
+            witness = _component_witness_remap(witness, ensemble, source)
+        result.certificate = witness

@@ -169,8 +169,8 @@ def _build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan instances/components out over N worker processes "
-        "(0 = one per CPU; default: solve serially)",
+        help="fan instances/components out over a serve pool of N worker "
+        "processes for this run (0 = one per CPU; default: solve serially)",
     )
     parser.add_argument(
         "--columns",
@@ -201,9 +201,8 @@ def _build_batch_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="FILE",
         default=None,
-        help="record a span trace of the batch (serial and parallel= paths; "
-        "the processes= fan-out runs untraced) and write it to FILE as "
-        "JSON lines",
+        help="record a span trace of the batch (worker-side spans of "
+        "--processes are stitched in) and write it to FILE as JSON lines",
     )
     return parser
 

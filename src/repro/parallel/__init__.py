@@ -5,8 +5,9 @@ whole solve) and :mod:`repro.pram` *simulates* the paper's PRAM schedule,
 this package executes one instance's top-level divide with real worker
 processes operating on slices of a single shared-memory segment:
 
-* :class:`SliceExecutor` — spawn-once slice workers with ServePool-grade
-  crash recovery (EOF detection, respawn, bounded re-dispatch);
+* :class:`SliceExecutor` — spawn-once slice workers on the fleet core
+  ServePool also runs on (:mod:`repro.serve.fleet`: EOF crash detection,
+  respawn, bounded re-dispatch);
 * :class:`ParallelSolver` — the orchestration: pack once, parallel
   connected components, per-component sub-solves, a verified merge
   ladder, with cost-model cutoffs and byte-for-byte serial parity.
@@ -17,7 +18,7 @@ Entry points thread through as ``path_realization(..., parallel=N)``,
 this deviates from the paper's processor allocation and why.
 """
 
-from .executor import SliceExecutor, SliceTask
+from .executor import SliceExecutor
 from .solver import FANOUT_MODES, ParallelSolver
 
-__all__ = ["SliceExecutor", "SliceTask", "ParallelSolver", "FANOUT_MODES"]
+__all__ = ["SliceExecutor", "ParallelSolver", "FANOUT_MODES"]

@@ -10,13 +10,14 @@ layouts for a merge-ladder step.  Nothing but slice descriptors (ints and
 small byte strings) ever crosses a queue, so dispatch cost is independent
 of instance size.
 
-Process-management idioms are deliberately those of ``ServePool``, which
-the stress campaign of PR 4 hardened: spawn-once workers with per-worker
-task queues, a single-writer result pipe per worker (lock-free, so a
-SIGKILL cannot corrupt a shared channel), EOF-based crash detection with
-respawn and re-dispatch of the crashed worker's outstanding tasks, and a
-bounded retry count so a poison task surfaces as :class:`ParallelError`
-instead of a livelock.
+The workers are the fleet core of :mod:`repro.serve.fleet`, the same one
+``ServePool`` runs on: spawn-once workers with per-worker task queues, a
+single-writer result pipe per worker (lock-free, so a SIGKILL cannot
+corrupt a shared channel), EOF-based crash detection with respawn and
+re-dispatch of the crashed worker's outstanding tasks, and a bounded retry
+count so a poison task surfaces as :class:`ParallelError` instead of a
+livelock.  This module adds the slice ops, the published segment and the
+gather on the calling thread.
 
 Slice ops (all results are plain bytes/float tuples):
 
@@ -39,11 +40,8 @@ Slice ops (all results are plain bytes/float tuples):
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import time
 from array import array
-from multiprocessing import connection
 
 from ..core.bitset import (
     all_consecutive,
@@ -56,13 +54,14 @@ from ..core.indexed import IndexedEnsemble, solve_path_indexed
 from ..core.instrument import SolverStats
 from ..errors import ParallelError, WireFormatError
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer, current_tracer, use_tracer
+from ..obs.trace import current_tracer
 from ..serve import wire
+from ..serve.fleet import Fleet, Task, unlink_quietly
 
-__all__ = ["SliceExecutor", "SliceTask"]
+__all__ = ["SliceExecutor"]
 
-#: how long the gather loop sleeps in :func:`connection.wait` between
-#: liveness sweeps; crash detection is EOF-driven, this only bounds it.
+#: how long the gather loop waits for results between liveness sweeps;
+#: crash detection is EOF-driven, this only bounds it.
 _WAIT_TIMEOUT = 0.1
 
 
@@ -199,155 +198,60 @@ _OPS = {
 }
 
 
-def _slice_worker_loop(task_q, result_conn) -> None:
-    """Worker entry: attach the named segment per task, run the slice op.
-
-    Items are ``(task_id, segment_name, op, spec, trace_ctx)`` tuples of
-    primitives; ``None`` shuts the worker down.  Results go back as
-    ``("done", task_id, payload, meta)`` or
-    ``("error", task_id, detail, meta)`` over this worker's private pipe —
-    single writer, so a crash mid-``send`` cannot corrupt another worker's
-    channel.  ``meta`` is ``(run_seconds, span_records)``: when
-    ``trace_ctx`` carries a parent span id, the op runs under a local
-    :class:`~repro.obs.trace.Tracer` rooted at that id and the recorded
-    spans (plain dicts of primitives) ride home for stitching.
-    """
-    while True:
-        item = task_q.get()
-        if item is None:
-            break
-        task_id, segment_name, op, spec, trace_ctx = item
-        started = time.perf_counter()
-        tracer = Tracer(root_parent=trace_ctx) if trace_ctx is not None else None
-        try:
-            handler = _OPS.get(op)
-            if handler is None:
-                raise ParallelError(f"unknown slice op {op!r}")
-            segment = wire.attach_segment(segment_name)
-            try:
-                if tracer is None:
-                    result = handler(segment.buf, spec)
-                else:
-                    with use_tracer(tracer):
-                        with tracer.span(f"worker.slice.{op}"):
-                            result = handler(segment.buf, spec)
-            finally:
-                segment.close()
-            meta = (
-                time.perf_counter() - started,
-                tracer.records() if tracer is not None else (),
-            )
-            result_conn.send(("done", task_id, result, meta))
-        except BaseException as exc:
-            meta = (
-                time.perf_counter() - started,
-                tracer.records() if tracer is not None else (),
-            )
-            try:
-                result_conn.send(
-                    ("error", task_id, f"{type(exc).__name__}: {exc}", meta)
-                )
-            except (OSError, ValueError, BrokenPipeError):  # repro: lint-ok[exception-contract] parent gone; crash handling takes over
-                pass
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                break
+def _run_slice(buf: memoryview, args: tuple, state: dict):
+    """Fleet handler: run one ``(op, spec)`` slice op on the instance."""
+    op, spec = args
+    handler = _OPS.get(op)
+    if handler is None:
+        raise ParallelError(f"unknown slice op {op!r}")
+    with current_tracer().span(f"worker.slice.{op}"):
+        return handler(buf, spec)
 
 
 # ---------------------------------------------------------------------- #
 # parent side
 # ---------------------------------------------------------------------- #
-class SliceTask:
-    """One dispatched slice op and where its result lands."""
-
-    __slots__ = ("slot", "op", "spec", "worker", "retries", "span", "enqueued")
-
-    def __init__(self, slot: int, op: str, spec: tuple) -> None:
-        self.slot = slot
-        self.op = op
-        self.spec = spec
-        self.worker = None
-        self.retries = 0
-        self.span = None
-        self.enqueued = 0.0
-
-
-class _SliceWorker:
-    __slots__ = ("process", "task_q", "result_conn")
-
-    def __init__(self, process, task_q, result_conn) -> None:
-        self.process = process
-        self.task_q = task_q
-        self.result_conn = result_conn
-
-
-def _release_segment(segment) -> None:
-    """Close and unlink a segment, tolerating double release."""
-    try:
-        segment.close()
-    except (OSError, ValueError):  # repro: lint-ok[exception-contract] already closed; unlink below still runs
-        pass
-    try:
-        segment.unlink()
-    except (FileNotFoundError, OSError):  # repro: lint-ok[exception-contract] already unlinked (idempotent release)
-        pass
-
-
 class SliceExecutor:
     """A pool of slice workers bound to one published instance at a time.
 
-    Mirrors ``ServePool``'s lifecycle (spawn-once workers, crash respawn,
+    Runs on the fleet core (spawn-once workers, crash respawn,
     at-least-once dispatch with exactly-once completion) but runs
     *synchronous scatter/gather waves*: :meth:`run` blocks until every
     task of the wave has a result, because the solver's phases (component
     pass, sub-solves, each ladder level) are true barriers.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        start_method: str | None = None,
-        max_task_retries: int = 2,
-    ) -> None:
+    def __init__(self, workers: int, *, max_task_retries: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
         self.num_workers = workers
         self.max_task_retries = max_task_retries
-        self.respawn_count = 0
         self.metrics = MetricsRegistry()
-        self._ctx = multiprocessing.get_context(start_method)
-        self._counter = itertools.count()
         self._segment = None
         self._closed = False
-        # The tracker must exist before the first worker so that spawned
-        # children inherit it instead of racing to start their own
-        # (bpo-39959) — same order as ServePool.
-        wire.ensure_shared_tracker()
-        self._workers = [self._spawn_worker() for _ in range(workers)]
+        self._done: dict[int, object] = {}
+        self._fleet = Fleet(
+            workers,
+            _run_slice,
+            max_task_retries=max_task_retries,
+            metrics=self.metrics,
+            respawn_metric="parallel.respawns",
+            on_result=self._settle,
+            on_lost=self._lost,
+        )
 
     # -- lifecycle ------------------------------------------------------ #
-    def _spawn_worker(self) -> _SliceWorker:
-        task_q = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_slice_worker_loop, args=(task_q, send_conn), daemon=True
-        )
-        process.start()
-        # Parent must not hold the send end: the pipe has to hit EOF when
-        # the worker dies, or crash detection never fires.
-        send_conn.close()
-        return _SliceWorker(process, task_q, recv_conn)
+    @property
+    def respawn_count(self) -> int:
+        return self._fleet.respawn_count
 
     @property
     def worker_pids(self) -> list[int]:
-        return [w.process.pid for w in self._workers]
+        return self._fleet.pids
 
     @property
     def alive_workers(self) -> int:
-        return sum(1 for w in self._workers if w.process.is_alive())
+        return self._fleet.alive
 
     def set_instance(self, payload: bytes) -> None:
         """Publish one packed instance; replaces any previous segment."""
@@ -360,28 +264,14 @@ class SliceExecutor:
     def release_instance(self) -> None:
         """Unpublish the current instance segment, if any."""
         if self._segment is not None:
-            _release_segment(self._segment)
+            unlink_quietly(self._segment)
             self._segment = None
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers:
-            try:
-                worker.task_q.put(None)
-            except (OSError, ValueError):  # repro: lint-ok[exception-contract] queue torn down with a dead worker
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-            if not worker.result_conn.closed:
-                try:
-                    worker.result_conn.close()
-                except OSError:  # repro: lint-ok[exception-contract] pipe died with the worker
-                    pass
+        self._fleet.close()
         self.release_instance()
 
     def __enter__(self) -> "SliceExecutor":
@@ -397,8 +287,8 @@ class SliceExecutor:
         Dispatch is at-least-once: a worker crash re-dispatches its
         outstanding tasks to a fresh worker (the instance segment
         outlives workers, so a retry sees identical input); completion is
-        exactly-once via the pending map keyed on globally unique task
-        ids — which also discards stragglers from abandoned waves.
+        exactly-once via the fleet's pending map keyed on globally unique
+        task ids — which also discards stragglers from abandoned waves.
         """
         if self._closed:
             raise ParallelError("executor is closed")
@@ -406,138 +296,44 @@ class SliceExecutor:
             raise ParallelError("no instance published; call set_instance first")
         if not tasks:
             return []
-        segment_name = self._segment.name
-        results: list = [None] * len(tasks)
-        pending: dict[int, SliceTask] = {}
-        loads = {id(w): 0 for w in self._workers}
         tracer = current_tracer()
-        metrics = self.metrics
-
-        def dispatch(task_id: int, entry: SliceTask) -> None:
-            alive = [w for w in self._workers if w.process.is_alive()]
-            pool = alive or self._workers
-            worker = min(pool, key=lambda w: loads.get(id(w), 0))
-            entry.worker = worker
-            loads[id(worker)] = loads.get(id(worker), 0) + 1
-            if tracer.enabled:
-                entry.span = tracer.begin(f"slice.{entry.op}")
-            entry.enqueued = time.perf_counter()
-            worker.task_q.put(
-                (
-                    task_id,
-                    segment_name,
-                    entry.op,
-                    entry.spec,
-                    entry.span.span_id if entry.span is not None else None,
-                )
-            )
-
-        def settle(message: tuple) -> None:
-            status, task_id, payload, meta = message
-            entry = pending.pop(task_id, None)
-            if entry is None:
-                return  # a stale duplicate from before a re-dispatch
-            loads[id(entry.worker)] = loads.get(id(entry.worker), 1) - 1
-            total = time.perf_counter() - entry.enqueued
-            run_seconds, records = meta
-            metrics.counter("parallel.tasks").inc()
-            metrics.histogram("parallel.task_total_seconds").observe(total)
-            metrics.histogram("parallel.task_run_seconds").observe(run_seconds)
-            metrics.histogram("parallel.queue_wait_seconds").observe(
-                max(0.0, total - run_seconds)
-            )
-            if records:
-                tracer.stitch(records)
-            if status == "done":
-                if entry.span is not None:
-                    entry.span.end()
-                results[entry.slot] = payload
-            else:
-                if entry.span is not None:
-                    entry.span.abort("error")
-                raise ParallelError(f"slice task {entry.op!r} failed: {payload}")
-
-        for slot, (op, spec) in enumerate(tasks):
-            entry = SliceTask(slot, op, spec)
-            task_id = next(self._counter)
-            pending[task_id] = entry
-            dispatch(task_id, entry)
-
+        wave: list[Task] = []
         try:
-            while pending:
-                conns = [
-                    w.result_conn for w in self._workers if not w.result_conn.closed
-                ]
-                for conn in connection.wait(conns, timeout=_WAIT_TIMEOUT):
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        continue  # EOF from a dead worker; the reap below handles it
-                    settle(message)
-                self._reap_dead_workers(pending, settle, tracer)
+            for op, spec in tasks:
+                task = Task(self._segment.name, (op, spec))
+                if tracer.enabled:
+                    task.tracer = tracer
+                    task.span = tracer.begin(f"slice.{op}")
+                wave.append(task)
+                self._fleet.dispatch(task)
+            while self._fleet.pending:
+                self._fleet.handle(self._fleet.receive(_WAIT_TIMEOUT))
         except BaseException:
-            # The wave is abandoned: no worker result will ever close these
-            # parent-side spans, so the crash/error path closes them as
+            # The wave is abandoned: no worker result will ever close its
+            # open parent-side spans, so the crash/error path closes them as
             # aborted — a trace never silently loses an in-flight task.
-            for entry in pending.values():
-                if entry.span is not None:
-                    entry.span.abort()
+            for task in wave:
+                self._fleet.forget(task)
+                if task.span is not None:
+                    task.span.abort()
+            self._done.clear()
             raise
-        return results
+        return [self._done.pop(task.task_id) for task in wave]
 
-    def _reap_dead_workers(self, pending, settle, tracer) -> None:
-        """Respawn dead workers and re-dispatch their outstanding tasks."""
-        for slot, worker in enumerate(self._workers):
-            if worker.process.is_alive():
-                continue
-            # Drain results the worker managed to send before dying; each
-            # settles normally and will not be retried.
-            try:
-                while worker.result_conn.poll():
-                    settle(worker.result_conn.recv())
-            except (EOFError, OSError):  # repro: lint-ok[exception-contract] pipe EOF ends the drain
-                pass
-            try:
-                worker.result_conn.close()
-            except OSError:  # repro: lint-ok[exception-contract] already closed by the crash
-                pass
-            replacement = self._spawn_worker()
-            self._workers[slot] = replacement
-            self.respawn_count += 1
-            self.metrics.counter("parallel.respawns").inc()
-            orphans = [
-                (task_id, entry)
-                for task_id, entry in pending.items()
-                if entry.worker is worker
-            ]
-            for task_id, entry in orphans:
-                entry.retries += 1
-                # The dispatched attempt died with the worker: its span is
-                # closed as aborted; a retry gets a fresh span under the
-                # same parent so the trace shows every attempt.
-                parent = None
-                if entry.span is not None:
-                    parent = entry.span.parent_id
-                    entry.span.abort()
-                if entry.retries > self.max_task_retries:
-                    raise ParallelError(
-                        f"slice task {entry.op!r} crashed its worker "
-                        f"{entry.retries} times; giving up"
-                    )
-                if entry.span is not None:
-                    entry.span = tracer.begin(
-                        f"slice.{entry.op}", parent=parent, retry=entry.retries
-                    )
-                self._dispatch_to(replacement, task_id, entry)
+    def _settle(self, task: Task, status: str, payload, run_seconds: float) -> None:
+        total = time.perf_counter() - task.enqueued
+        self.metrics.counter("parallel.tasks").inc()
+        self.metrics.histogram("parallel.task_total_seconds").observe(total)
+        self.metrics.histogram("parallel.task_run_seconds").observe(run_seconds)
+        self.metrics.histogram("parallel.queue_wait_seconds").observe(
+            max(0.0, total - run_seconds)
+        )
+        if status != "done":
+            raise ParallelError(f"slice task {task.args[0]!r} failed: {payload[0]}")
+        self._done[task.task_id] = payload
 
-    def _dispatch_to(self, worker: _SliceWorker, task_id: int, entry: SliceTask) -> None:
-        entry.worker = worker
-        worker.task_q.put(
-            (
-                task_id,
-                self._segment.name,
-                entry.op,
-                entry.spec,
-                entry.span.span_id if entry.span is not None else None,
-            )
+    def _lost(self, task: Task) -> None:
+        raise ParallelError(
+            f"slice task {task.args[0]!r} crashed its worker "
+            f"{task.retries} times; giving up"
         )

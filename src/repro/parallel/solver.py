@@ -79,7 +79,6 @@ class ParallelSolver:
         workers: int,
         *,
         fanout: str = "auto",
-        start_method: str | None = None,
         max_task_retries: int = 2,
     ) -> None:
         if workers < 1:
@@ -90,7 +89,6 @@ class ParallelSolver:
             )
         self.workers = workers
         self.fanout = fanout
-        self._start_method = start_method
         self._max_task_retries = max_task_retries
         self._executor: SliceExecutor | None = None
         self._closed = False
@@ -109,9 +107,7 @@ class ParallelSolver:
                 "pool.spawn", workers=self.workers, kind="slice"
             ):
                 self._executor = SliceExecutor(
-                    self.workers,
-                    start_method=self._start_method,
-                    max_task_retries=self._max_task_retries,
+                    self.workers, max_task_retries=self._max_task_retries
                 )
         return self._executor
 

@@ -31,7 +31,6 @@ __all__ = [
     "loglog",
     "fussell_tutte_depth",
     "fussell_tutte_processors",
-    "fussell_tutte_work",
     "sequential_tutte_query_work",
     "sequential_tutte_build_work",
     "sequential_solve_work",
@@ -39,12 +38,9 @@ __all__ = [
     "certify_narrowing_tests",
     "certify_work",
     "wire_dispatch_bytes",
-    "pickle_dispatch_bytes",
-    "dispatch_cost_ratio",
     "pool_startup_work",
     "serve_fleet_dispatch_work",
     "incremental_update_work",
-    "cache_probe_work",
     "parallel_fanout_worthwhile",
     "batch_split_savings",
     "paper_depth_bound",
@@ -80,11 +76,6 @@ def fussell_tutte_depth(n: int) -> int:
 def fussell_tutte_processors(n: int, m: int) -> int:
     """Processors charged: ``(m + n)·loglog n / log n``."""
     return max(1, int(math.ceil((m + n) * loglog(n) / log2(n))))
-
-
-def fussell_tutte_work(n: int, m: int) -> int:
-    """Work = depth × processors for the charged decomposition."""
-    return fussell_tutte_depth(n) * fussell_tutte_processors(n, m)
 
 
 # ---------------------------------------------------------------------- #
@@ -202,29 +193,6 @@ def wire_dispatch_bytes(n: int, m: int, label_bytes: int = 0) -> int:
     return 28 + m * ((n + 7) // 8) + max(0, label_bytes)
 
 
-def pickle_dispatch_bytes(n: int, m: int, p: int) -> int:
-    """Bytes charged for pickling one label-level sub-ensemble.
-
-    A pickled :class:`~repro.ensemble.Ensemble` serializes every one of the
-    ``p`` members of its frozenset columns, every atom label, and per-column
-    container overhead; with all constants one (one machine word per
-    serialized item, the module convention) that is ``8·(p + n + m)``.
-    """
-    return 8 * (p + n + m)
-
-
-def dispatch_cost_ratio(n: int, m: int, p: int, label_bytes: int = 0) -> float:
-    """``pickle_dispatch_bytes / wire_dispatch_bytes`` for one task.
-
-    The break-even story of the serving layer: dense instances amortize the
-    bitmask payload (the ratio approaches ``64·p/(n·m) ≥ 64·density``),
-    while the header keeps the worst case bounded below by ~1 for tiny
-    instances — which is why ``bench_serve_throughput.py`` gates the
-    *measured* fleet, not this model alone.
-    """
-    return pickle_dispatch_bytes(n, m, p) / max(1, wire_dispatch_bytes(n, m, label_bytes))
-
-
 def pool_startup_work(workers: int, *, cold: bool = True) -> int:
     """Work charged for bringing a pool's workers up (``0`` once warm)."""
     if not cold:
@@ -239,25 +207,20 @@ def serve_fleet_dispatch_work(
     p: int,
     *,
     workers: int = 1,
-    fmt: str = "wire",
     cold: bool = False,
     label_bytes: int = 0,
 ) -> int:
     """Total dispatch-side work for a fleet, excluding the solves themselves.
 
-    ``fmt`` is ``"wire"`` (packed shared-memory segments, the
-    :class:`repro.serve.ServePool` path) or ``"pickle"`` (per-task ensemble
-    pickling, the one-shot executor path); ``cold`` adds the pool-startup
-    charge.  Bytes are converted to work at one unit per 8-byte word, so
-    the result is comparable with :func:`certify_work` and the solve
-    charges when modelling where a serving profile's time goes.
+    Every task ships its packed wire payload (:func:`wire_dispatch_bytes`)
+    through a shared-memory segment, the :class:`repro.serve.ServePool`
+    path, so the instance's ``p`` ones do not enter the charge; ``cold``
+    adds the pool-startup charge, paid once per transient pool.  Bytes are
+    converted to work at one unit per 8-byte word, so the result is
+    comparable with :func:`certify_work` and the solve charges when
+    modelling where a serving profile's time goes.
     """
-    if fmt == "wire":
-        per_task = wire_dispatch_bytes(n, m, label_bytes)
-    elif fmt == "pickle":
-        per_task = pickle_dispatch_bytes(n, m, p)
-    else:
-        raise ValueError(f"unknown dispatch format {fmt!r}")
+    per_task = wire_dispatch_bytes(n, m, label_bytes)
     return pool_startup_work(workers, cold=cold) + max(0, instances) * (
         (per_task + 7) // 8
     )
@@ -281,22 +244,6 @@ def incremental_update_work(n: int, m: int, *, op: str = "add") -> int:
     if op == "open":
         return max(1, n)
     raise ValueError(f"unknown delta op {op!r}")
-
-
-def cache_probe_work(n: int, m: int, *, exact: bool = True) -> int:
-    """Work charged for one canonical-form cache probe.
-
-    Colour refinement sweeps the full ``n × m`` incidence once per pass
-    and stabilises within ``O(log n)`` passes (each pass strictly grows
-    the number of colour classes); the key hash adds one sweep of the
-    ``m`` sorted column signatures.  ``exact=False`` (budget-exhausted
-    canonicalization) skips the individualization search and is charged a
-    single refinement fixpoint — the fallback is cheaper *and* weaker,
-    which is why the cache counts it separately (``cache.inexact_forms``).
-    """
-    passes = log2(max(2, n))
-    sweeps = passes if not exact else passes + log2(max(2, m))
-    return int(max(1, n) * max(1, m) * sweeps) + max(1, m)
 
 
 # ---------------------------------------------------------------------- #

@@ -3,12 +3,10 @@
 The paper's parallelism is depth within one instance; the workloads that
 motivate scaling this reproduction — physical-mapping pipelines and
 Tucker-pattern screens over many candidate matrices — are long-lived
-streams of *independent* instances.  :func:`repro.batch.solve_many` covers
-the one-shot case but cold-starts a process pool per call and pickles whole
-label-level sub-ensembles per task, so dispatch overhead dominates fleets
-of small instances.
+streams of *independent* instances, where per-task dispatch, not solving,
+dominates a fleet of small instances.
 
-This package removes both costs:
+This package keeps dispatch cheap:
 
 * :mod:`repro.serve.wire` — a packed wire format (atom-count header +
   contiguous little-endian column bitmasks + interned label table) written
@@ -16,10 +14,16 @@ This package removes both costs:
   reconstructs an :class:`~repro.core.indexed.IndexedEnsemble` straight
   from the segment buffer without unpickling label-level containers;
 * :mod:`repro.serve.pool` — :class:`ServePool`, a spawn-once worker pool
-  with a submission queue, worker-crash detection and respawn, graceful
-  shutdown, a ``solve_stream`` generator (completion order or input order)
-  and a ``solve_many``-compatible ordered mode; ``certify=True`` witness
+  with a submission queue, backpressure, a ``solve_stream`` generator
+  (completion order or input order), a ``solve_many``-compatible ordered
+  mode, a result cache and delta sessions; ``certify=True`` witness
   extraction rides the same warm pool instead of a second executor.
+  :func:`repro.batch.solve_many` with ``processes=N`` runs on a transient
+  one;
+* :mod:`repro.serve.fleet` — the internal worker-fleet core under both
+  ``ServePool`` and :class:`repro.parallel.SliceExecutor`: spawn, the
+  worker loop, least-loaded dispatch, crash detection with respawn and
+  bounded re-dispatch, and shutdown within one deadline.
 
 See DESIGN.md, "Substitution 5" for the format rationale and the
 crash-recovery semantics, and ``benchmarks/bench_serve_throughput.py`` for

@@ -12,19 +12,23 @@ are *bundled* — many wire payloads per segment, mirroring ``chunksize`` on
 an executor ``map`` — so a fleet of tiny instances costs one message and
 one worker wake-up per chunk, not per instance.
 
+The workers themselves — spawn, the worker loop, crash detection, respawn
+and re-dispatch under ``max_task_retries``, shutdown — are the fleet core
+of :mod:`repro.serve.fleet`, shared with :mod:`repro.parallel`.  This
+module adds only serving on top.
+
 Robustness model
 ----------------
 * **Crash detection + respawn.**  The collector thread multiplexes one
-  result pipe per worker (``connection.wait``) and polls liveness.  When a
-  worker dies (OOM kill, segfault, ``kill -9``), its in-flight bundles are
-  re-dispatched to the surviving workers — the segments still exist, so
-  nothing is re-packed — and a replacement worker is spawned.  Because
-  each pipe has exactly one writer, a worker killed mid-report can tear
-  only its own channel (the parent sees EOF); it can never strand a lock
-  another worker needs, which a shared result queue cannot guarantee.  A
-  bundle that repeatedly crashes its worker is failed with
+  result pipe per worker and polls liveness.  When a worker dies (OOM
+  kill, segfault, ``kill -9``), its in-flight bundles are re-dispatched to
+  the surviving workers — the segments still exist, so nothing is
+  re-packed — and a replacement worker is spawned.  A bundle that
+  repeatedly crashes its worker is failed with
   :class:`~repro.errors.ServeError` after ``max_task_retries``
-  re-dispatches instead of crash-looping the pool.
+  re-dispatches instead of crash-looping the pool.  A delta bundle is the
+  one exception to "nothing is re-packed": its session's acked frame log
+  is replayed ahead of it on the new worker.
 * **At-least-once dispatch, exactly-once completion.**  A worker killed
   *after* reporting may leave a duplicate re-dispatch behind; results for
   bundles no longer pending are dropped, so every future resolves exactly
@@ -36,8 +40,8 @@ Robustness model
   up front, and the streaming chunker flushes bundles early to stay under
   it.
 * **Graceful shutdown.**  ``close()`` (also via ``with``) drains pending
-  work, sends each worker a sentinel, joins them, and unlinks any segment
-  still alive; stragglers are terminated after a timeout.
+  work, sends each worker a sentinel, joins them until its deadline,
+  SIGKILLs stragglers, and unlinks any segment still alive.
 
 Determinism: a pool run is differentially identical to serial
 :func:`repro.batch.solve_many` — same component decomposition, same
@@ -52,9 +56,6 @@ import os
 import queue
 import threading
 import time
-import traceback
-import multiprocessing
-from multiprocessing import connection, shared_memory
 from typing import Hashable, Iterable, Iterator
 
 from ..batch import (
@@ -69,26 +70,53 @@ from ..ensemble import Ensemble
 from ..errors import IncrementalError, ServeError
 from ..incremental.solver import OP_ADD, OP_OPEN, OP_REMOVE
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer, current_tracer, use_tracer
+from ..obs.trace import Tracer, current_tracer
 from . import wire
+from .fleet import CLOSE_TIMEOUT, Fleet, Task, unlink_quietly
 
 Atom = Hashable
 
 __all__ = ["ServePool", "ServeFuture"]
 
-#: bundle-entry kind bytes understood by the worker loop.
+#: bundle-entry kind bytes understood by the worker handler.
 _K_SOLVE, _K_SOLVE_CERTIFY, _K_CERTIFY, _K_DELTA = 0, 1, 2, 3
 #: stream stages (tags carried on futures).
 _SOLVE, _CERTIFY, _DELTA = "solve", "certify", "delta"
 
 
 # ---------------------------------------------------------------------- #
-# the worker process
+# the worker side
 # ---------------------------------------------------------------------- #
-def _solve_entry(kind, payload, circular, kernel, engine, tracer):
+def _serve_bundle(buf, args, sessions) -> list:
+    """Fleet handler: solve one bundle, one ``(order, witness_json)`` per entry.
+
+    ``args`` is ``(circular, kernel, engine)``.  ``sessions`` is the
+    worker-local delta-session table: incremental solvers keyed by session
+    id, populated by ``C1PD`` OPEN frames and mutated in place by
+    ADD/REMOVE frames.  It lives in this process only — the parent's
+    replay log (acked frames per session) is the durable copy that
+    rebuilds it on a respawned worker.
+    """
+    circular, kernel, engine = args
+    # Copy the entry payloads out of the segment before it is closed:
+    # holding memoryview slices across close() would raise BufferError
+    # ("exported pointers exist").  The copy is a few hundred bytes per
+    # small instance — noise next to the pickling it replaces.
+    entries = [(kind, bytes(payload)) for kind, payload in wire.unpack_bundle(buf)]
+    with current_tracer().span("worker.serve.task", entries=len(entries)):
+        return [
+            _delta_entry(sessions, payload, kernel, engine)
+            if kind == _K_DELTA
+            else _solve_entry(kind, payload, circular, kernel, engine)
+            for kind, payload in entries
+        ]
+
+
+def _solve_entry(kind, payload, circular, kernel, engine):
     """Solve one bundle entry; returns ``(order, witness_json)``."""
     from ..core import cycle_realization, path_realization
 
+    tracer = current_tracer()
     indexed = IndexedEnsemble.from_packed_masks(payload)
     # The label-level round trip keeps the pool differentially
     # identical to serial solve_many, which dispatches
@@ -97,28 +125,12 @@ def _solve_entry(kind, payload, circular, kernel, engine, tracer):
     order = witness_json = None
     if kind in (_K_SOLVE, _K_SOLVE_CERTIFY):
         solve = cycle_realization if circular else path_realization
-        if tracer is not None:
-            with tracer.span(
-                "serve.solve", n=indexed.num_atoms, m=indexed.num_columns
-            ):
-                order = solve(ensemble, kernel=kernel, engine=engine)
-        else:
+        with tracer.span("serve.solve", n=indexed.num_atoms, m=indexed.num_columns):
             order = solve(ensemble, kernel=kernel, engine=engine)
     if (kind == _K_SOLVE_CERTIFY and order is None) or kind == _K_CERTIFY:
         from ..certify.witness import extract_tucker_witness
 
-        if tracer is not None:
-            with tracer.span(
-                "serve.certify", n=indexed.num_atoms, m=indexed.num_columns
-            ):
-                witness_json = extract_tucker_witness(
-                    ensemble,
-                    kernel=kernel,
-                    engine=engine,
-                    circular=circular,
-                    assume_rejected=True,
-                ).to_json()
-        else:
+        with tracer.span("serve.certify", n=indexed.num_atoms, m=indexed.num_columns):
             witness_json = extract_tucker_witness(
                 ensemble,
                 kernel=kernel,
@@ -129,7 +141,7 @@ def _solve_entry(kind, payload, circular, kernel, engine, tracer):
     return (order, witness_json)
 
 
-def _delta_entry(sessions, payload, kernel, engine, tracer):
+def _delta_entry(sessions, payload, kernel, engine):
     """Apply one delta frame to this worker's session table.
 
     Returns the same ``(order, witness_json)`` outcome shape as
@@ -139,138 +151,54 @@ def _delta_entry(sessions, payload, kernel, engine, tracer):
     witness extraction — their results were delivered before the crash
     and the parent discards the replayed outcomes anyway.
     """
-    frame = wire.unpack_delta(payload, exact=True)
-    if tracer is not None:
-        with tracer.span("serve.delta", op=frame.op, session=frame.session_id):
-            return _delta_apply(sessions, frame, kernel, engine)
-    return _delta_apply(sessions, frame, kernel, engine)
-
-
-def _delta_apply(sessions, frame, kernel, engine):
     from ..incremental.solver import IncrementalSolver
 
-    if frame.op == wire.DELTA_OPEN:
-        solver = IncrementalSolver(
-            range(frame.num_atoms),
-            circular=bool(frame.flags & wire.DELTA_FLAG_CIRCULAR),
-            kernel=kernel,
-            engine=engine,
-        )
-        # OPEN resets the slot unconditionally: a crash-recovery replay
-        # always starts with the session's OPEN frame, so stale state
-        # left by an earlier pin to this worker can never leak in.
-        sessions[frame.session_id] = (
-            solver,
-            bool(frame.flags & wire.DELTA_FLAG_CERTIFY),
-        )
-        return (list(solver.layout()), None)
-    entry = sessions.get(frame.session_id)
-    if entry is None:
-        raise ServeError(
-            f"delta frame for unknown session {frame.session_id}: the "
-            f"session was never opened on this worker and the bundle "
-            f"carries no replay prefix"
-        )
-    solver, certify = entry
-    column = mask_to_indices(frame.mask)
-    if frame.op == wire.DELTA_ADD:
-        replay = bool(frame.flags & wire.DELTA_FLAG_REPLAY)
-        outcome = solver.add_column(column, certify=certify and not replay)
-        if outcome.accepted:
-            return (list(outcome.order), None)
-        witness = (
-            outcome.certificate.to_json()
-            if outcome.certificate is not None
-            else None
-        )
-        return (None, witness)
-    try:
-        outcome = solver.remove_column(column)
-    except IncrementalError:
-        # A remove matching no accepted column is *refused*, not fatal:
-        # the solver state is untouched, so the session stays replayable
-        # and the parent reports a rejected outcome instead of tearing
-        # the whole stream down.
-        return (None, None)
-    return (list(outcome.order), None)
-
-
-def _worker_loop(task_q, result_conn) -> None:
-    """Run in each worker process: attach, rebuild, solve, report, repeat.
-
-    One result message per *bundle*: ``(status, task_id, payload, meta)``
-    where the payload is a list of ``(order, witness_json)`` pairs aligned
-    with the bundle's entries and ``meta = (busy_seconds, span_records)``.
-    A traced bundle carries the parent's span id in its envelope; the
-    worker roots a local :class:`~repro.obs.trace.Tracer` under it and
-    ships its span records home in ``meta``, where the collector stitches
-    them into the submitting trace.  Results go back over a per-worker
-    pipe with this process as its only writer, which keeps crash recovery
-    lock-free (see the module docstring).
-
-    ``sessions`` is the worker-local delta-session table: incremental
-    solvers keyed by session id, populated by ``C1PD`` OPEN frames and
-    mutated in place by ADD/REMOVE frames.  It lives in this process
-    only — the parent's replay log (acked frames per session) is the
-    durable copy that rebuilds it on a respawned worker.
-    """
-    sessions: dict = {}
-    while True:
-        item = task_q.get()
-        if item is None:
-            break
-        task_id, segment_name, circular, kernel, engine, trace_ctx = item
-        started = time.perf_counter()
-        tracer = Tracer(root_parent=trace_ctx) if trace_ctx is not None else None
+    frame = wire.unpack_delta(payload, exact=True)
+    with current_tracer().span("serve.delta", op=frame.op, session=frame.session_id):
+        if frame.op == wire.DELTA_OPEN:
+            solver = IncrementalSolver(
+                range(frame.num_atoms),
+                circular=bool(frame.flags & wire.DELTA_FLAG_CIRCULAR),
+                kernel=kernel,
+                engine=engine,
+            )
+            # OPEN resets the slot unconditionally: a crash-recovery replay
+            # always starts with the session's OPEN frame, so stale state
+            # left by an earlier pin to this worker can never leak in.
+            sessions[frame.session_id] = (
+                solver,
+                bool(frame.flags & wire.DELTA_FLAG_CERTIFY),
+            )
+            return (list(solver.layout()), None)
+        entry = sessions.get(frame.session_id)
+        if entry is None:
+            raise ServeError(
+                f"delta frame for unknown session {frame.session_id}: the "
+                f"session was never opened on this worker and the bundle "
+                f"carries no replay prefix"
+            )
+        solver, certify = entry
+        column = mask_to_indices(frame.mask)
+        if frame.op == wire.DELTA_ADD:
+            replay = bool(frame.flags & wire.DELTA_FLAG_REPLAY)
+            outcome = solver.add_column(column, certify=certify and not replay)
+            if outcome.accepted:
+                return (list(outcome.order), None)
+            witness = (
+                outcome.certificate.to_json()
+                if outcome.certificate is not None
+                else None
+            )
+            return (None, witness)
         try:
-            segment = wire.attach_segment(segment_name)
-            try:
-                # Copy the entry payloads out of the segment before closing
-                # it: holding memoryview slices across close() would raise
-                # BufferError ("exported pointers exist").  The copy is a
-                # few hundred bytes per small instance — noise next to the
-                # pickling it replaces.
-                entries = [
-                    (kind, bytes(payload))
-                    for kind, payload in wire.unpack_bundle(segment.buf)
-                ]
-            finally:
-                segment.close()
-            if tracer is not None:
-                with use_tracer(tracer):
-                    with tracer.span("worker.serve.task", entries=len(entries)):
-                        outcomes = [
-                            _delta_entry(sessions, p, kernel, engine, tracer)
-                            if k == _K_DELTA
-                            else _solve_entry(
-                                k, p, circular, kernel, engine, tracer
-                            )
-                            for k, p in entries
-                        ]
-            else:
-                outcomes = [
-                    _delta_entry(sessions, p, kernel, engine, None)
-                    if k == _K_DELTA
-                    else _solve_entry(k, p, circular, kernel, engine, None)
-                    for k, p in entries
-                ]
-            meta = (
-                time.perf_counter() - started,
-                tracer.records() if tracer is not None else (),
-            )
-            result_conn.send(("done", task_id, outcomes, meta))
-        except BaseException as exc:
-            detail = f"{exc!r}\n{traceback.format_exc()}"
-            meta = (
-                time.perf_counter() - started,
-                tracer.records() if tracer is not None else (),
-            )
-            try:
-                result_conn.send(("error", task_id, detail, meta))
-            except Exception:  # pragma: no cover - reporting channel gone  # repro: lint-ok[exception-contract] nothing left to tell the parent
-                pass
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                break
+            outcome = solver.remove_column(column)
+        except IncrementalError:
+            # A remove matching no accepted column is *refused*, not fatal:
+            # the solver state is untouched, so the session stays replayable
+            # and the parent reports a rejected outcome instead of tearing
+            # the whole stream down.
+            return (None, None)
+        return (list(outcome.order), None)
 
 
 # ---------------------------------------------------------------------- #
@@ -314,42 +242,19 @@ class ServeFuture:
         self._event.set()
 
 
-class _Worker:
-    """One worker process plus its private channels and in-flight set."""
-
-    __slots__ = ("process", "task_q", "result_conn", "inflight")
-
-    def __init__(self, process, task_q, result_conn) -> None:
-        self.process = process
-        self.task_q = task_q
-        self.result_conn = result_conn
-        self.inflight: set[int] = set()
-
-
-class _Inflight:
+class _Inflight(Task):
     """Parent-side state of one dispatched bundle."""
 
-    __slots__ = (
-        "task_id", "item", "segment", "future", "worker", "retries",
-        "done_q", "single", "span", "trace", "enqueued", "session",
-        "entries",
-    )
+    __slots__ = ("segment", "future", "done_q", "single", "session", "entries")
 
     def __init__(
-        self, task_id, item, segment, future, worker, done_q, single,
-        session=None, entries=None,
-    ):
-        self.task_id = task_id
-        self.item = item
+        self, segment, args, future, done_q, single, session=None, entries=None
+    ) -> None:
+        super().__init__(segment.name, args)
         self.segment = segment
         self.future = future
-        self.worker = worker
-        self.retries = 0
         self.done_q = done_q
         self.single = single
-        self.span = None          # parent-side serve.task span, if traced
-        self.trace = None         # the Tracer that owns it (stitch target)
-        self.enqueued = 0.0
         self.session = session    # _DeltaSession this bundle belongs to
         self.entries = entries    # logical (un-replayed) entries, sessions only
 
@@ -371,16 +276,16 @@ class _DeltaSession:
     def __init__(self, session_id: int) -> None:
         self.session_id = session_id
         self.num_atoms = 0
-        self.worker: "_Worker | None" = None
+        self.worker = None
         self.acked: list[bytes] = []
 
 
-def _unlink_quietly(segment: shared_memory.SharedMemory) -> None:
-    try:
-        segment.close()
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone  # repro: lint-ok[exception-contract] quietly-idempotent unlink
-        pass
+def _replayed(session: _DeltaSession, entries: list[tuple[int, bytes]]) -> bytes:
+    """A bundle frame: ``session``'s acked log as replay frames, then ``entries``."""
+    return wire.pack_bundle(
+        [(_K_DELTA, wire.mark_delta_replay(acked)) for acked in session.acked]
+        + entries
+    )
 
 
 def _pack_instance(ensemble: Ensemble | IndexedEnsemble) -> bytes:
@@ -410,9 +315,6 @@ class ServePool:
     max_task_retries:
         How many times a bundle is re-dispatched after crashing its worker
         before its future fails.
-    start_method:
-        ``multiprocessing`` start method for the workers (default:
-        ``"fork"`` where available, else the platform default).
 
     Use as a context manager, or call :meth:`close` explicitly.
     """
@@ -424,15 +326,10 @@ class ServePool:
         max_inflight: int | None = None,
         max_segment_bytes: int | None = None,
         max_task_retries: int = 2,
-        start_method: str | None = None,
     ) -> None:
         if processes is not None and processes < 0:
             raise ValueError(f"processes must be >= 0, got {processes}")
         workers = processes or (os.cpu_count() or 1)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
         self.num_workers = workers
         self.max_inflight = 4 * workers if max_inflight is None else max_inflight
         if self.max_inflight < 1:
@@ -442,20 +339,25 @@ class ServePool:
 
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._pending: dict[int, _Inflight] = {}
-        self._counter = itertools.count()
         self._session_counter = itertools.count(1)
         self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._closed = False
         self._stop = threading.Event()
         # observability (read by the stress suite and the benchmark)
-        self.respawn_count = 0
         self.max_inflight_seen = 0
         self.metrics = MetricsRegistry()
         self._started = time.perf_counter()
 
-        wire.ensure_shared_tracker()
-        self._workers = [self._spawn_worker() for _ in range(workers)]
+        self._fleet = Fleet(
+            workers,
+            _serve_bundle,
+            max_task_retries=max_task_retries,
+            metrics=self.metrics,
+            respawn_metric="serve.respawns",
+            on_result=self._on_result,
+            on_lost=self._on_lost,
+            on_retry=self._replay_session,
+        )
         self._collector = threading.Thread(
             target=self._collect, name="repro-serve-collector", daemon=True
         )
@@ -464,18 +366,6 @@ class ServePool:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self) -> _Worker:
-        task_q = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_loop, args=(task_q, send_conn), daemon=True
-        )
-        process.start()
-        # Drop the parent's copy of the write end: once the worker dies, its
-        # pipe reaches EOF instead of blocking a reader forever.
-        send_conn.close()
-        return _Worker(process, task_q, recv_conn)
-
     def __enter__(self) -> "ServePool":
         return self
 
@@ -489,66 +379,59 @@ class ServePool:
             pass
 
     @property
+    def respawn_count(self) -> int:
+        """Workers respawned after a crash since pool start."""
+        return self._fleet.respawn_count
+
+    @property
     def worker_pids(self) -> list[int]:
         """PIDs of the current worker processes (changes on respawn)."""
         with self._lock:
-            return [w.process.pid for w in self._workers]
+            return self._fleet.pids
 
     @property
     def alive_workers(self) -> int:
         with self._lock:
-            return sum(1 for w in self._workers if w.process.is_alive())
+            return self._fleet.alive
 
     def close(self, *, wait: bool = True, timeout: float | None = 30.0) -> None:
-        """Shut the pool down; idempotent.
+        """Shut the pool down within ``timeout`` seconds; idempotent.
 
-        With ``wait`` (the default) pending tasks drain first; either way
-        every worker receives a sentinel, is joined (terminated after
-        ``timeout``), leftover segments are unlinked and unresolved futures
-        fail with :class:`~repro.errors.ServeError`.
+        With ``wait`` (the default) pending tasks drain first.  Either way
+        every worker then receives a sentinel and is joined until the same
+        deadline; one still alive at the deadline is SIGKILLed.  Leftover
+        segments are unlinked and unresolved futures fail with
+        :class:`~repro.errors.ServeError`.  ``timeout=None`` drains without
+        bound and then gives the workers the fleet's default grace.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            if self._closed:
-                already = True
-            else:
-                already = False
-                self._closed = True
+            already = self._closed
+            self._closed = True
             if already and not self._collector.is_alive():
                 return
         if wait:
             with self._idle:
-                self._idle.wait_for(lambda: not self._pending, timeout=timeout)
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            try:
-                worker.task_q.put(None)
-            except Exception:  # pragma: no cover - queue already broken  # repro: lint-ok[exception-contract] shutdown proceeds to kill
-                pass
-        for worker in workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
+                self._idle.wait_for(lambda: not self._fleet.pending, timeout=timeout)
+        # Stop first: the exiting workers' pipes reach EOF, which wakes the
+        # collector at once instead of at its next poll timeout.
         self._stop.set()
-        if self._collector.is_alive() and threading.current_thread() is not self._collector:
-            self._collector.join(timeout=5.0)
+        grace = (
+            CLOSE_TIMEOUT if deadline is None else deadline - time.monotonic()
+        )
         with self._lock:
-            for inflight in list(self._pending.values()):
+            self._fleet.close(grace)
+            for inflight in list(self._fleet.pending.values()):
                 # _resolve releases the backpressure slot too — a submitter
                 # blocked on the in-flight window must wake up, not hang.
                 self._resolve(
                     inflight,
                     error=ServeError("pool closed before the task completed"),
                 )
-            self._pending.clear()
+            self._fleet.pending.clear()
             self._idle.notify_all()
-            for worker in self._workers:
-                if not worker.result_conn.closed:
-                    try:
-                        worker.result_conn.close()
-                    except OSError:  # pragma: no cover - already closed  # repro: lint-ok[exception-contract]
-                        pass
+        if self._collector.is_alive() and threading.current_thread() is not self._collector:
+            self._collector.join(CLOSE_TIMEOUT)
 
     # ------------------------------------------------------------------ #
     # submission
@@ -630,7 +513,6 @@ class ServePool:
                 f"segment budget of {self.max_segment_bytes}"
             )
         tracer = trace if trace is not None else current_tracer()
-        span = None
         wait_t0 = time.perf_counter()
         self._slots.acquire()
         try:
@@ -640,13 +522,12 @@ class ServePool:
             with self._lock:
                 if self._closed:
                     raise ServeError("cannot submit to a closed pool")
-                task_id = next(self._counter)
                 worker = None
                 if session is not None:
                     pinned = session.worker
                     if (
                         pinned is not None
-                        and pinned in self._workers
+                        and pinned in self._fleet.workers
                         and pinned.process.is_alive()
                     ):
                         worker = pinned
@@ -655,109 +536,60 @@ class ServePool:
                         # first bundle): pin afresh and rebuild its state
                         # by replaying the acked frame log ahead of the
                         # new deltas, in one bundle, on the new worker.
-                        worker = self._pick_worker()
+                        worker = self._fleet.pick()
                         if session.acked:
-                            frame = wire.pack_bundle(
-                                [
-                                    (_K_DELTA, wire.mark_delta_replay(acked))
-                                    for acked in session.acked
-                                ]
-                                + entries
-                            )
+                            frame = _replayed(session, entries)
                             self.metrics.counter("serve.delta_replays").inc()
                     session.worker = worker
                 segment = wire.create_segment(frame)
+                inflight = None
                 try:
+                    inflight = _Inflight(
+                        segment, (circular, kernel, engine), ServeFuture(tag),
+                        done_q, single, session=session,
+                        entries=entries if session is not None else None,
+                    )
                     if tracer.enabled:
-                        span = tracer.begin(
+                        inflight.tracer = tracer
+                        inflight.span = tracer.begin(
                             "serve.task",
                             entries=len(entries),
                             payload_bytes=len(frame),
                         )
-                    item = (
-                        task_id, segment.name, circular, kernel, engine,
-                        span.span_id if span is not None else None,
-                    )
-                    if worker is None:
-                        worker = self._pick_worker()
-                    future = ServeFuture(tag)
-                    inflight = _Inflight(
-                        task_id, item, segment, future, worker, done_q,
-                        single, session=session,
-                        entries=entries if session is not None else None,
-                    )
-                    if span is not None:
-                        inflight.span = span
-                        inflight.trace = tracer
-                    inflight.enqueued = time.perf_counter()
-                    self._pending[task_id] = inflight
-                    worker.inflight.add(task_id)
-                    self.max_inflight_seen = max(
-                        self.max_inflight_seen, len(self._pending)
-                    )
-                    self.metrics.counter("serve.tasks").inc()
-                    self.metrics.counter("serve.dispatch_bytes").inc(len(frame))
-                    self.metrics.gauge("serve.queue_depth").set(
-                        len(self._pending)
-                    )
-                    worker.task_q.put(item)
+                    self._fleet.dispatch(inflight, worker)
                 except BaseException:
                     # A failed submit must not strand the segment: no
                     # worker ever learned its name, so nothing downstream
                     # would unlink it.  Likewise the span: no result will
                     # ever close it.
-                    self._pending.pop(task_id, None)
-                    for candidate in self._workers:
-                        candidate.inflight.discard(task_id)
-                    _unlink_quietly(segment)
-                    if span is not None:
-                        span.abort()
+                    unlink_quietly(segment)
+                    if inflight is not None and inflight.span is not None:
+                        inflight.span.abort()
                     raise
-            return future
+                depth = len(self._fleet.pending)
+                self.max_inflight_seen = max(self.max_inflight_seen, depth)
+                self.metrics.counter("serve.tasks").inc()
+                self.metrics.counter("serve.dispatch_bytes").inc(len(frame))
+                self.metrics.gauge("serve.queue_depth").set(depth)
+            return inflight.future
         except BaseException:
             self._slots.release()
             raise
 
-    def _pick_worker(self) -> _Worker:
-        """Least-loaded alive worker (called with the lock held)."""
-        alive = [w for w in self._workers if w.process.is_alive()]
-        pool = alive or self._workers
-        return min(pool, key=lambda w: len(w.inflight))
-
     # ------------------------------------------------------------------ #
-    # the collector thread
+    # results (the collector thread, under the lock)
     # ------------------------------------------------------------------ #
     def _collect(self) -> None:
         while not self._stop.is_set():
+            messages = self._fleet.receive(0.05)
             with self._lock:
-                readers = {
-                    w.result_conn: w
-                    for w in self._workers
-                    if not w.result_conn.closed
-                }
-            try:
-                ready = connection.wait(list(readers), timeout=0.05)
-            except OSError:  # pragma: no cover - raced a respawn
-                ready = []
-            messages = []
-            for conn in ready:
-                try:
-                    messages.append(conn.recv())
-                # repro: lint-ok[exception-contract] worker died; the reap below re-dispatches its tasks
-                except (EOFError, OSError):
-                    pass
-                except Exception:  # pragma: no cover - torn mid-write message  # repro: lint-ok[exception-contract] reap path recovers the task
-                    pass
-            with self._lock:
-                for message in messages:
-                    self._handle_result(message)
-                self._reap_dead_workers()
-                if not self._pending:
+                self._fleet.handle(messages)
+                if not self._fleet.pending:
                     self._idle.notify_all()
 
     def _resolve(self, inflight: _Inflight, *, value=None, error=None) -> None:
         """Finish one bundle (lock held): unlink, resolve, free the slot."""
-        _unlink_quietly(inflight.segment)
+        unlink_quietly(inflight.segment)
         if inflight.span is not None:
             # Still open here means no result ever closed it — the pool
             # shut down or the retry budget ran out mid-flight.
@@ -770,112 +602,46 @@ class ServePool:
             inflight.done_q.put(inflight.future)
         self._slots.release()
 
-    def _handle_result(self, message) -> None:
-        status, task_id, payload, meta = message
-        inflight = self._pending.pop(task_id, None)
-        if inflight is None:
-            return  # duplicate delivery after a crash re-dispatch
-        inflight.worker.inflight.discard(task_id)
-        busy_seconds, records = meta
+    def _on_result(self, inflight: _Inflight, status, payload, busy_seconds) -> None:
         self.metrics.counter("serve.busy_seconds").inc(max(0.0, busy_seconds))
         self.metrics.histogram("serve.task_seconds").observe(
             max(0.0, time.perf_counter() - inflight.enqueued)
         )
-        self.metrics.gauge("serve.queue_depth").set(len(self._pending))
-        if records and inflight.trace is not None:
-            inflight.trace.stitch(records)
+        self.metrics.gauge("serve.queue_depth").set(len(self._fleet.pending))
         if status == "done":
-            if inflight.span is not None:
-                inflight.span.end()
-            value = payload[0] if inflight.single else payload
-            self._resolve(inflight, value=value)
-        else:
-            if inflight.span is not None:
-                inflight.span.abort("error")
             self._resolve(
-                inflight, error=ServeError(f"worker task failed:\n{payload}")
+                inflight, value=payload[0] if inflight.single else payload
+            )
+        else:
+            self._resolve(
+                inflight, error=ServeError(f"worker task failed:\n{payload[1]}")
             )
 
-    def _reap_dead_workers(self) -> None:
-        """Respawn dead workers and re-dispatch their in-flight bundles."""
-        for slot, worker in enumerate(self._workers):
-            if worker.process.is_alive() or worker.result_conn.closed:
-                continue
-            # Drain whatever the worker managed to report before dying, then
-            # retire its pipe (the closed flag doubles as "already reaped").
-            try:
-                while worker.result_conn.poll():
-                    self._handle_result(worker.result_conn.recv())
-            except (EOFError, OSError):  # repro: lint-ok[exception-contract] drain race with the dead worker
-                pass
-            try:
-                worker.result_conn.close()
-            except OSError:  # pragma: no cover - already closed  # repro: lint-ok[exception-contract]
-                pass
-            orphaned = [
-                self._pending[tid] for tid in sorted(worker.inflight)
-                if tid in self._pending
-            ]
-            worker.inflight.clear()
-            if not self._closed:
-                self._workers[slot] = self._spawn_worker()
-                self.respawn_count += 1
-                self.metrics.counter("serve.respawns").inc()
-            for inflight in orphaned:
-                inflight.retries += 1
-                # The crashed attempt's span closes as aborted — that is
-                # the trace record the crash-mid-span tests pin — and a
-                # re-dispatch opens a fresh one under the same parent.
-                parent = None
-                if inflight.span is not None:
-                    parent = inflight.span.parent_id
-                    inflight.span.abort()
-                if inflight.retries > self.max_task_retries:
-                    self._pending.pop(inflight.task_id, None)
-                    self.metrics.gauge("serve.queue_depth").set(
-                        len(self._pending)
-                    )
-                    inflight.span = None  # already aborted above
-                    self._resolve(
-                        inflight,
-                        error=ServeError(
-                            f"task crashed its worker {inflight.retries} times"
-                        ),
-                    )
-                    continue
-                if inflight.session is not None:
-                    # A delta bundle cannot be re-shipped verbatim: the
-                    # crashed worker held the session's solver.  Rebuild
-                    # the segment with the acked frame log (marked as
-                    # replay) ahead of this bundle's own frames, so the
-                    # target worker reconstructs the session and then
-                    # applies the un-answered deltas for real.
-                    frame = wire.pack_bundle(
-                        [
-                            (_K_DELTA, wire.mark_delta_replay(acked))
-                            for acked in inflight.session.acked
-                        ]
-                        + inflight.entries
-                    )
-                    _unlink_quietly(inflight.segment)
-                    inflight.segment = wire.create_segment(frame)
-                    inflight.item = (
-                        inflight.item[0], inflight.segment.name,
-                    ) + inflight.item[2:]
-                    self.metrics.counter("serve.delta_replays").inc()
-                if inflight.span is not None:
-                    inflight.span = inflight.trace.begin(
-                        "serve.task", parent=parent, retry=inflight.retries
-                    )
-                    inflight.item = inflight.item[:5] + (
-                        inflight.span.span_id,
-                    )
-                target = self._pick_worker()
-                inflight.worker = target
-                target.inflight.add(inflight.task_id)
-                target.task_q.put(inflight.item)
-                if inflight.session is not None:
-                    inflight.session.worker = target
+    def _on_lost(self, inflight: _Inflight) -> None:
+        self.metrics.gauge("serve.queue_depth").set(len(self._fleet.pending))
+        self._resolve(
+            inflight,
+            error=ServeError(f"task crashed its worker {inflight.retries} times"),
+        )
+
+    def _replay_session(self, inflight: _Inflight, worker) -> None:
+        """Before a re-dispatch: rebuild a delta bundle on its new worker.
+
+        A delta bundle cannot be re-shipped verbatim: the crashed worker
+        held the session's solver.  The segment is rebuilt with the acked
+        frame log (marked as replay) ahead of the bundle's own frames, so
+        the target worker reconstructs the session and then applies the
+        un-answered deltas for real.
+        """
+        session = inflight.session
+        if session is None:
+            return
+        frame = _replayed(session, inflight.entries)
+        unlink_quietly(inflight.segment)
+        inflight.segment = wire.create_segment(frame)
+        inflight.segment_name = inflight.segment.name
+        self.metrics.counter("serve.delta_replays").inc()
+        session.worker = worker
 
     # ------------------------------------------------------------------ #
     # high-level serving API

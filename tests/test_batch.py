@@ -76,14 +76,26 @@ class TestSolveMany:
         assert result.ok and verify_linear_layout(instance, result.order)
 
     def test_process_pool_matches_serial(self, rng):
+        import os
+
+        from repro.obs import Tracer
+
         fleet = [random_c1p_ensemble(15, 10, rng).ensemble for _ in range(4)]
         fleet.append(non_c1p_ensemble(10, 6, rng).ensemble)
         serial = solve_many(fleet, processes=None)
-        pooled = solve_many(fleet, processes=2)
+        tracer = Tracer()
+        pooled = solve_many(fleet, processes=2, trace=tracer)
         assert [r.ok for r in serial] == [r.ok for r in pooled]
         for ensemble, result in zip(fleet, pooled):
             if result.ok:
                 assert verify_linear_layout(ensemble, result.order)
+        # processes= fan-out is traced: the workers' spans are stitched in
+        # under the parent's dispatch spans.
+        spans = tracer.spans()
+        dispatch = {s.span_id for s in spans if s.name == "serve.task"}
+        worker = [s for s in spans if s.name == "worker.serve.task"]
+        assert worker and all(s.pid != os.getpid() for s in worker)
+        assert all(s.parent_id in dispatch for s in worker)
 
     def test_negative_processes_rejected(self, rng):
         inst = random_c1p_ensemble(6, 4, rng).ensemble
@@ -153,16 +165,16 @@ class TestCertifyPooling:
     def test_certify_reuses_one_executor_for_solve_and_certify(self, rng, monkeypatch):
         """solve + witness extraction must share a single process pool."""
         import repro.batch as batch_module
-        from concurrent.futures import ProcessPoolExecutor as RealExecutor
+        import repro.serve.pool as pool_module
 
         created = []
 
-        class CountingExecutor(RealExecutor):
+        class CountingPool(pool_module.ServePool):
             def __init__(self, *args, **kwargs):
                 created.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(pool_module, "ServePool", CountingPool)
         fleet = [random_c1p_ensemble(10, 6, rng).ensemble for _ in range(2)]
         fleet += [non_c1p_ensemble(8, 6, rng).ensemble for _ in range(2)]
         results = batch_module.solve_many(fleet, processes=2, certify=True)
@@ -238,18 +250,18 @@ class TestComponentCertification:
         return glued, len(good.columns)
 
     def test_witness_extracted_from_failed_component(self, monkeypatch):
-        import repro.batch as batch_module
+        import repro.certify.witness as witness_module
         from repro.certify.checker import check_ensemble
 
         instance, _ = self._split_rejected_instance()
         seen = []
-        real = batch_module._certify_task
+        real = witness_module.extract_tucker_witness
 
-        def spy(task):
-            seen.append(task.ensemble)
-            return real(task)
+        def spy(ensemble, **kwargs):
+            seen.append(ensemble)
+            return real(ensemble, **kwargs)
 
-        monkeypatch.setattr(batch_module, "_certify_task", spy)
+        monkeypatch.setattr(witness_module, "extract_tucker_witness", spy)
         (result,) = solve_many([instance], certify=True)
         assert result.parts >= 2 and not result.ok
         (extracted,) = seen

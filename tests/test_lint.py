@@ -76,6 +76,7 @@ class TestFixtureTwins:
             ("shm-lifecycle", "shm_lifecycle"),
             ("span-lifecycle", "span_lifecycle"),
             ("spawn-safety", "spawn_safety"),
+            ("spawn-safety", "spawn_safety_fleet"),
             ("flag-parity", "flag_parity"),
             ("exception-contract", "exception_contract"),
         ],
@@ -96,6 +97,7 @@ class TestFixtureTwins:
             ("shm-lifecycle", "shm_lifecycle"),
             ("span-lifecycle", "span_lifecycle"),
             ("spawn-safety", "spawn_safety"),
+            ("spawn-safety", "spawn_safety_fleet"),
             ("flag-parity", "flag_parity"),
             ("exception-contract", "exception_contract"),
         ],
@@ -263,19 +265,19 @@ class TestMutationAcceptance:
         root = _copy_tree(tmp_path)
         _mutate(
             root,
-            "src/repro/serve/pool.py",
+            "src/repro/serve/fleet.py",
             "        segment.close()\n        segment.unlink()\n",
             "        segment.close()\n",
         )
         report = _lint(root)
         assert not report.ok
         finding = next(f for f in report.new if f.rule == "shm-lifecycle")
-        assert finding.path == "src/repro/serve/pool.py"
-        source = (root / "src/repro/serve/pool.py").read_text(encoding="utf-8")
+        assert finding.path == "src/repro/serve/fleet.py"
+        source = (root / "src/repro/serve/fleet.py").read_text(encoding="utf-8")
         def_line = next(
             i
             for i, text in enumerate(source.splitlines(), start=1)
-            if "def _unlink_quietly" in text
+            if "def unlink_quietly" in text
         )
         assert finding.line == def_line
 

@@ -21,6 +21,7 @@ exhaustion failing the wave with :class:`~repro.errors.ParallelError`.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -230,6 +231,27 @@ class TestCrashRecovery:
             with pytest.raises(ParallelError, match="crashed its worker"):
                 executor.run(tasks)
             executor.release_instance()
+
+    def test_close_honours_its_deadline_with_a_stopped_worker(self):
+        # A SIGSTOPped worker never acts on the shutdown sentinel (nor on a
+        # SIGTERM): close() must still return near the fleet's deadline
+        # and leave no worker process behind.
+        executor = SliceExecutor(2)
+        pids = executor.worker_pids
+        os.kill(pids[0], signal.SIGSTOP)
+        try:
+            started = time.monotonic()
+            executor.close()
+            elapsed = time.monotonic() - started
+            assert elapsed < 3.0, f"close() took {elapsed:.1f}s"
+            live = {child.pid for child in multiprocessing.active_children()}
+            assert not live & set(pids), "close() left a worker process alive"
+        finally:
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
 
     def test_run_without_instance_rejected(self):
         with SliceExecutor(1) as executor:

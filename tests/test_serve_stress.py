@@ -16,6 +16,7 @@ a hard timeout on top).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -335,10 +336,12 @@ class TestLifecycle:
     def test_close_wakes_submitters_blocked_on_backpressure(self):
         # close() must release the slots of error-resolved bundles so a
         # thread stuck in submit() on a full in-flight window wakes up
-        # instead of deadlocking.
+        # instead of deadlocking — and it must keep its deadline although
+        # the frozen worker never acts on a sentinel or a SIGTERM.
         inst = random_c1p_ensemble(6, 4, random.Random(9)).ensemble
         pool = ServePool(1, max_inflight=1)
-        os.kill(pool.worker_pids[0], signal.SIGSTOP)
+        pids = pool.worker_pids
+        os.kill(pids[0], signal.SIGSTOP)
         try:
             first = pool.submit(inst)  # takes the only slot; worker is frozen
             outcome: list = []
@@ -353,7 +356,12 @@ class TestLifecycle:
             submitter.start()
             time.sleep(0.2)
             assert not outcome, "second submit should be blocked on the window"
+            started = time.monotonic()
             pool.close(wait=False, timeout=1.0)
+            elapsed = time.monotonic() - started
+            assert elapsed < 3.0, f"close(timeout=1.0) took {elapsed:.1f}s"
+            live = {child.pid for child in multiprocessing.active_children()}
+            assert not live & set(pids), "close() left a worker process alive"
             submitter.join(30)
             assert not submitter.is_alive(), "submitter never woke after close()"
             with pytest.raises(ServeError):

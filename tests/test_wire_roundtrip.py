@@ -336,25 +336,10 @@ class TestDispatchCostModel:
             payload = indexed.pack_masks(with_labels=False)
             assert wire_dispatch_bytes(n, m) == len(payload)
 
-    def test_dispatch_ratio_grows_with_density(self):
-        from repro.pram.costmodel import dispatch_cost_ratio, pickle_dispatch_bytes
-
-        n, m = 200, 100
-        sparse = dispatch_cost_ratio(n, m, p=2 * m)
-        dense = dispatch_cost_ratio(n, m, p=(n * m) // 2)
-        assert dense > sparse > 0
-        assert pickle_dispatch_bytes(n, m, 0) == 8 * (n + m)
-
     def test_fleet_work_charges_cold_start_once(self):
         from repro.pram.costmodel import pool_startup_work, serve_fleet_dispatch_work
 
-        warm = serve_fleet_dispatch_work(100, 16, 10, 60, workers=4, fmt="wire")
-        cold = serve_fleet_dispatch_work(
-            100, 16, 10, 60, workers=4, fmt="wire", cold=True
-        )
+        warm = serve_fleet_dispatch_work(100, 16, 10, 60, workers=4)
+        cold = serve_fleet_dispatch_work(100, 16, 10, 60, workers=4, cold=True)
         assert cold - warm == pool_startup_work(4)
         assert pool_startup_work(4, cold=False) == 0
-        pickled = serve_fleet_dispatch_work(100, 16, 10, 60, workers=4, fmt="pickle")
-        assert pickled > warm
-        with pytest.raises(ValueError):
-            serve_fleet_dispatch_work(1, 1, 1, 1, fmt="carrier-pigeon")
