@@ -11,16 +11,20 @@ both axes of independence:
   with ``processes=N``, or a warm one you keep with ``pool=``;
 * within a linear instance, independent **connected components** (after
   trivial and full columns — which never constrain a linear layout — are
-  dropped) are dispatched as separate tasks and their layouts
-  concatenated, so one huge disconnected matrix also saturates the pool.
+  dropped) are solved separately, in component order, and their layouts
+  concatenated; the first component that rejects decides the instance.
 
-Every task runs the integer-indexed kernel by default (see
-:mod:`repro.core.indexed`); pass ``kernel="reference"`` to fan out the
+One per-instance routine, :func:`_solve_instance`, does the split, the
+component solves and the witness extraction, and it is the same routine
+serially and in a pool worker: one pool task carries one whole instance,
+so pool results are those of the serial loop by construction.  Every
+instance runs the integer-indexed kernel by default (see
+:mod:`repro.core.indexed`); pass ``kernel="reference"`` to run the
 label-level reference solver instead.  Atom labels must be picklable when
 worker processes are used (plain ints/strings always are): the packed
 shared-memory wire format of :mod:`repro.serve.wire` pickles each distinct
-label once.  With ``certify=True`` the same pool serves both the solves and
-the witness extractions for rejected instances.
+label once.  With ``certify=True`` a rejected instance's witness is
+extracted in the same task that solved it.
 
 Both process paths are the one ``pool.solve_many`` call, so results,
 certificates and traces are the same either way.  A transient pool pays
@@ -38,12 +42,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Hashable, Iterable
 
 from .core import cycle_realization, path_realization
 from .ensemble import Ensemble
 from .errors import CertificationError
-from .obs.trace import current_tracer, use_tracer
+from .obs.trace import NULL_TRACER, current_tracer, use_tracer
 
 Atom = Hashable
 
@@ -61,7 +66,7 @@ class BatchResult:
     #: number of atoms / columns of the instance
     num_atoms: int = 0
     num_columns: int = 0
-    #: how many pool tasks the instance was split into (connected components)
+    #: how many connected components the instance was split into
     parts: int = 1
     #: structured outcome: ``"realized"`` or ``"rejected"`` (never a bare
     #: ``None`` order with no explanation)
@@ -119,7 +124,7 @@ def _json_label(label):
 
 
 # ---------------------------------------------------------------------- #
-# plumbing (the split and the witness remap are shared with repro.serve)
+# the per-instance routine (shared with repro.serve's workers)
 # ---------------------------------------------------------------------- #
 def _component_witness_remap(witness, original: Ensemble, sub: Ensemble):
     """Re-index a component witness to the original instance's columns.
@@ -180,24 +185,13 @@ def _split_mode(split_components: bool, circular: bool) -> str:
     return "components"
 
 
-def _resolve_workers(
-    processes: int | None, instances: list[Ensemble], split: str
-) -> int:
-    """Worker processes for one call: never more than it has tasks."""
+def _resolve_workers(processes: int | None, instances: int) -> int:
+    """Worker processes for one call: never more than it has instances."""
     if processes is None:
         return 1
     if processes < 0:
         raise ValueError(f"processes must be >= 0, got {processes}")
-    wanted = processes or (os.cpu_count() or 1)
-    tasks = 0
-    for ensemble in instances:
-        if split == "components":
-            tasks += len(_linear_component_ensembles(ensemble))
-        else:
-            tasks += 1
-        if tasks >= wanted:
-            return wanted
-    return tasks
+    return min(processes or (os.cpu_count() or 1), instances)
 
 
 def solve_many(
@@ -226,19 +220,24 @@ def solve_many(
     processes:
         ``None`` solves serially in-process (the default — deterministic and
         dependency-free); ``0`` uses one worker per CPU; any other value is
-        the worker count, capped at the number of tasks.  The workers are a
-        transient :class:`repro.serve.ServePool` that lives for this call,
-        driven exactly as ``pool=`` drives a warm one.  A single-task
-        workload always runs serially.
+        the worker count, capped at the number of instances (one pool task
+        carries one whole instance).  The workers are a transient
+        :class:`repro.serve.ServePool` that lives for this call, driven
+        exactly as ``pool=`` drives a warm one.  A single instance always
+        runs serially; fan-out *within* one instance is ``parallel=``.
     kernel:
-        Execution engine per task, as in :func:`repro.core.path_realization`.
+        Execution engine per instance, as in :func:`repro.core.path_realization`.
     engine:
-        Tutte decomposition engine per task ("spqr" / "splitpair" /
+        Tutte decomposition engine per instance ("spqr" / "splitpair" /
         ``None`` for the default); carried inside each task so pool workers
         honour the selection too.
     split_components:
-        For linear instances, dispatch independent connected components as
-        separate tasks and concatenate their layouts.  Circular
+        For linear instances, solve independent connected components
+        separately, in component order, and concatenate their layouts; the
+        first rejecting component decides the instance and the rest are
+        not solved.  The split runs where the instance is solved — in the
+        pool worker when there is one — so ``BatchResult.parts`` counts
+        components, not pool tasks.  Circular
         instances are never split (component structure only emerges after
         the solver's column normalisation); when splitting is requested on a
         circular call the skip is recorded explicitly as
@@ -250,15 +249,15 @@ def solve_many(
         Attach a certificate to every result: an ``OrderCertificate`` for
         realized instances and a checkable ``TuckerWitness`` for rejected
         ones.  A rejected split instance extracts its witness from the
-        failed component's sub-ensemble — reusing the narrowing the solve
-        already computed — and the witness rows are re-indexed so they
-        refer to the input columns.  With worker processes, witness
-        extractions ride the *same* pool as the solves.
+        rejecting component's sub-ensemble — reusing the narrowing the
+        solve already computed — and the witness rows are re-indexed so
+        they refer to the input columns.  The extraction runs in the same
+        task as the solve, in-process or on the pool worker alike.
     pool:
-        A warm :class:`repro.serve.ServePool`.  When given, every task —
-        solves and witness extractions alike — is dispatched through the
-        persistent workers over the packed shared-memory wire format, and
-        ``processes`` is ignored.  Results are identical, in the same order.
+        A warm :class:`repro.serve.ServePool`.  When given, every instance
+        is dispatched through the persistent workers over the packed
+        shared-memory wire format, one task per instance, and ``processes``
+        is ignored.  Results are identical, in the same order.
     parallel:
         Intra-instance workers (``repro.core.path_realization``'s
         ``parallel=``): each instance is solved through one reused
@@ -309,12 +308,17 @@ def solve_many(
     transient = None
     if pool is None:
         instances = list(ensembles)
-        split = _split_mode(split_components, circular)
-        workers = _resolve_workers(processes, instances, split)
+        workers = _resolve_workers(processes, len(instances))
         if workers < 2:
             with use_tracer(trace if trace is not None else current_tracer()):
                 return _solve_in_process(
-                    instances, split, circular, kernel, engine, certify, parallel
+                    instances,
+                    _split_mode(split_components, circular),
+                    circular,
+                    kernel,
+                    engine,
+                    certify,
+                    parallel,
                 )
         from .serve.pool import ServePool
 
@@ -350,93 +354,127 @@ def _solve_in_process(
     """:func:`solve_many` on the calling process, under the ambient tracer.
 
     With ``parallel`` > 1 on the indexed kernel, one
-    :class:`repro.parallel.ParallelSolver` is reused across all tasks so its
+    :class:`repro.parallel.ParallelSolver` solves every component so its
     spawn-once slice workers amortise over the batch; its cost model still
-    decides per task whether fanning out beats the serial kernel, and either
-    way the layouts are byte-for-byte those of the serial kernel.
+    decides per component whether fanning out beats the serial kernel, and
+    either way the layouts are byte-for-byte those of the serial kernel.
     """
-    subs_per_instance = [
-        _linear_component_ensembles(ensemble) if split == "components" else [ensemble]
-        for ensemble in instances
-    ]
-    if parallel is not None and parallel >= 2 and kernel == "indexed":
-        from .parallel.solver import ParallelSolver
+    if parallel is None or parallel < 2 or kernel != "indexed":
+        return _instance_results(
+            instances, split, circular, kernel, engine, certify, None
+        )
+    from .parallel.solver import ParallelSolver
 
-        with ParallelSolver(parallel) as solver:
-            solve = solver.solve_cycle if circular else solver.solve_path
-            orders = [
-                [solve(sub, engine=engine) for sub in subs]
-                for subs in subs_per_instance
-            ]
-    else:
-        solve = cycle_realization if circular else path_realization
-        orders = [
-            [solve(sub, kernel=kernel, engine=engine) for sub in subs]
-            for subs in subs_per_instance
-        ]
+    with ParallelSolver(parallel) as solver:
+        solve = partial(
+            solver.solve_cycle if circular else solver.solve_path, engine=engine
+        )
+        return _instance_results(
+            instances, split, circular, kernel, engine, certify, solve
+        )
 
-    # Reassemble: concatenate component layouts in component order; a
-    # single failed component fails its whole instance.
-    results: list[BatchResult] = []
-    for index, (ensemble, pieces) in enumerate(zip(instances, orders)):
-        if any(piece is None for piece in pieces):
-            combined: list | None = None
-        else:
-            combined = [atom for piece in pieces for atom in piece]
+
+def _instance_results(
+    instances, split, circular, kernel, engine, certify, solve
+) -> list[BatchResult]:
+    """Run :func:`_solve_instance` over ``instances``; one result each."""
+    results = []
+    for index, ensemble in enumerate(instances):
+        order, parts, witness = _solve_instance(
+            ensemble, split, circular, kernel, engine, certify, solve=solve
+        )
         results.append(
             BatchResult(
                 index=index,
-                order=combined,
+                order=order,
                 num_atoms=ensemble.num_atoms,
                 num_columns=ensemble.num_columns,
-                parts=len(pieces),
-                status="realized" if combined is not None else "rejected",
+                parts=parts,
+                status="realized" if order is not None else "rejected",
+                certificate=(
+                    _certificate(order, witness, circular) if certify else None
+                ),
                 split=split,
             )
-        )
-    if certify:
-        _attach_certificates(
-            results, instances, subs_per_instance, orders, circular, kernel, engine
         )
     return results
 
 
-def _attach_certificates(
-    results: list[BatchResult],
-    instances: list[Ensemble],
-    subs_per_instance: list[list[Ensemble]],
-    orders: list[list[list | None]],
+def _solve_instance(
+    ensemble: Ensemble,
+    split: str,
     circular: bool,
     kernel: str,
     engine: str | None,
-) -> None:
-    """Fill ``result.certificate`` in place for every instance.
+    certify: bool,
+    *,
+    solve=None,
+    span_prefix: str | None = None,
+) -> tuple[list | None, int, object | None]:
+    """Solve one instance of :func:`solve_many`: split, solve, certify.
 
-    Realized instances get their layout wrapped as an ``OrderCertificate``.
-    A rejected instance extracts its witness from its first *failed
-    component's* sub-ensemble — the narrowing the solve already paid for —
-    and the witness rows are re-indexed to the input columns by
-    :func:`_component_witness_remap`, instead of re-running the extraction
-    against the full instance.
+    Serial ``solve_many`` and the pool worker both run this, so a pool
+    result is the serial result by construction.
+
+    1. With ``split == "components"`` the instance is split into the
+       sub-ensembles of its connected components
+       (:func:`_linear_component_ensembles`); otherwise it is one part.
+    2. The parts are solved in component order and their layouts
+       concatenated.  The first rejection decides the instance, so the
+       parts after it are not solved.
+    3. With ``certify``, a rejected instance's witness is extracted from
+       the rejecting part and its rows re-indexed to the instance's
+       columns by :func:`_component_witness_remap`.
+
+    Returns ``(order, parts, witness)``: the layout or ``None``, the number
+    of parts, and the ``TuckerWitness`` of a certified rejection (else
+    ``None``).  ``solve`` replaces the per-part solver (``parallel=``
+    passes its reused :class:`repro.parallel.ParallelSolver`);
+    ``span_prefix`` traces the solve and the extraction as
+    ``<prefix>.solve`` / ``<prefix>.certify`` spans of the ambient tracer.
     """
-    from .certify.certificates import OrderCertificate
+    subs = (
+        _linear_component_ensembles(ensemble) if split == "components" else [ensemble]
+    )
+    if solve is None:
+        solve = partial(
+            cycle_realization if circular else path_realization,
+            kernel=kernel,
+            engine=engine,
+        )
+    tracer = current_tracer() if span_prefix else NULL_TRACER
+    order: list | None = []
+    with tracer.span(
+        f"{span_prefix}.solve", n=ensemble.num_atoms, m=ensemble.num_columns
+    ):
+        for sub in subs:
+            piece = solve(sub)
+            if piece is None:
+                order = None
+                break
+            order.extend(piece)
+    if not certify or order is not None:
+        return order, len(subs), None
     from .certify.witness import extract_tucker_witness
 
-    kind = "circular" if circular else "consecutive"
-    for result, ensemble, subs, pieces in zip(
-        results, instances, subs_per_instance, orders
-    ):
-        if result.order is not None:
-            result.certificate = OrderCertificate(kind, tuple(result.order))
-            continue
-        source = subs[pieces.index(None)]
+    # ``sub`` is the part that rejected.
+    with tracer.span(f"{span_prefix}.certify", n=sub.num_atoms, m=sub.num_columns):
         witness = extract_tucker_witness(
-            source,
+            sub,
             kernel=kernel,
             engine=engine,
             circular=circular,
             assume_rejected=True,
         )
-        if source is not ensemble:
-            witness = _component_witness_remap(witness, ensemble, source)
-        result.certificate = witness
+    if sub is not ensemble:
+        witness = _component_witness_remap(witness, ensemble, sub)
+    return None, len(subs), witness
+
+
+def _certificate(order: list | None, witness, circular: bool):
+    """A ``certify=True`` outcome's certificate: the layout, else the witness."""
+    if order is None:
+        return witness
+    from .certify.certificates import OrderCertificate
+
+    return OrderCertificate("circular" if circular else "consecutive", tuple(order))

@@ -22,6 +22,12 @@ stitched trace, metrics snapshot and cost-model calibration report
 (:mod:`repro.obs`); ``--trace FILE`` on the plain, batch and serve modes
 dumps a JSON-lines trace of that run.
 
+Unusable input — a missing or unreadable file, a malformed matrix or JSON
+line — ends the solve, batch, certify and serve modes with one
+``repro: error: ...`` line on stderr and exit status 2, as ``lint`` does
+for its own unusable input; exit 1 keeps its one meaning, "the property
+does not hold".
+
 Examples
 --------
 ::
@@ -44,16 +50,18 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .batch import solve_many
 from .certify import check_ensemble
 from .core import ENGINES, cycle_realization, path_realization
+from .errors import InvalidEnsembleError
 from .tutte.decomposition import resolve_engine
 from .matrix import BinaryMatrix
 
@@ -77,8 +85,29 @@ _DEMO = """\
 """
 
 
+def _reports_bad_input(entry: Callable[[Sequence[str]], int]):
+    """Map unusable input to one ``repro: error:`` line and exit status 2.
+
+    Covers files that cannot be opened or read (``OSError``) and malformed
+    matrices or JSON lines (:class:`~repro.errors.InvalidEnsembleError`).
+    """
+
+    @functools.wraps(entry)
+    def run(argv: Sequence[str]) -> int:
+        try:
+            return entry(argv)
+        except (OSError, InvalidEnsembleError) as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
 def parse_matrix_text(text: str) -> list[list[int]]:
-    """Parse whitespace/comma separated 0/1 rows; ignore comments and blanks."""
+    """Parse whitespace/comma separated 0/1 rows; ignore comments and blanks.
+
+    Malformed input raises :class:`~repro.errors.InvalidEnsembleError`.
+    """
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -88,15 +117,17 @@ def parse_matrix_text(text: str) -> list[list[int]]:
         try:
             row = [int(p) for p in parts]
         except ValueError as exc:
-            raise SystemExit(f"line {lineno}: non-integer entry ({exc})") from exc
+            raise InvalidEnsembleError(
+                f"line {lineno}: non-integer entry ({exc})"
+            ) from exc
         if any(x not in (0, 1) for x in row):
-            raise SystemExit(f"line {lineno}: entries must be 0 or 1")
+            raise InvalidEnsembleError(f"line {lineno}: entries must be 0 or 1")
         rows.append(row)
     if not rows:
-        raise SystemExit("no matrix rows found in the input")
+        raise InvalidEnsembleError("no matrix rows found in the input")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise SystemExit("all rows must have the same number of entries")
+        raise InvalidEnsembleError("all rows must have the same number of entries")
     return rows
 
 
@@ -662,16 +693,19 @@ def parse_instance_line(line: str, lineno: int) -> tuple[object, list[list[int]]
 
     Accepts a bare matrix (JSON list of 0/1 rows) or an object with a
     ``"matrix"`` key and an optional ``"id"``.  Structural problems raise
-    ``SystemExit`` naming the line, exactly like :func:`parse_matrix_text`.
+    :class:`~repro.errors.InvalidEnsembleError` naming the line, exactly
+    like :func:`parse_matrix_text`.
     """
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"line {lineno}: not valid JSON ({exc})") from exc
+        raise InvalidEnsembleError(f"line {lineno}: not valid JSON ({exc})") from exc
     instance_id: object = None
     if isinstance(payload, dict):
         if "matrix" not in payload:
-            raise SystemExit(f"line {lineno}: instance object lacks a 'matrix' key")
+            raise InvalidEnsembleError(
+                f"line {lineno}: instance object lacks a 'matrix' key"
+            )
         instance_id = payload.get("id")
         rows = payload["matrix"]
     else:
@@ -679,13 +713,17 @@ def parse_instance_line(line: str, lineno: int) -> tuple[object, list[list[int]]
     if not isinstance(rows, list) or not rows or not all(
         isinstance(r, list) and r for r in rows
     ):
-        raise SystemExit(f"line {lineno}: matrix must be a non-empty list of rows")
+        raise InvalidEnsembleError(
+            f"line {lineno}: matrix must be a non-empty list of rows"
+        )
     width = len(rows[0])
     for r in rows:
         if len(r) != width:
-            raise SystemExit(f"line {lineno}: all rows must have the same length")
+            raise InvalidEnsembleError(
+                f"line {lineno}: all rows must have the same length"
+            )
         if any(x not in (0, 1) for x in r):
-            raise SystemExit(f"line {lineno}: entries must be 0 or 1")
+            raise InvalidEnsembleError(f"line {lineno}: entries must be 0 or 1")
     return instance_id, rows
 
 
@@ -694,20 +732,21 @@ def parse_delta_line(line: str, lineno: int) -> tuple[str, object]:
 
     ``{"op": "open", "n": 5}`` yields ``("open", 5)``; ``{"op": "add",
     "column": [0, 2]}`` / ``{"op": "remove", ...}`` yield the column's
-    atom indices.  Structural problems raise ``SystemExit`` naming the
-    line, exactly like :func:`parse_instance_line`.
+    atom indices.  Structural problems raise
+    :class:`~repro.errors.InvalidEnsembleError` naming the line, exactly
+    like :func:`parse_instance_line`.
     """
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"line {lineno}: not valid JSON ({exc})") from exc
+        raise InvalidEnsembleError(f"line {lineno}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "op" not in payload:
-        raise SystemExit(f"line {lineno}: delta object lacks an 'op' key")
+        raise InvalidEnsembleError(f"line {lineno}: delta object lacks an 'op' key")
     op = payload["op"]
     if op == "open":
         n = payload.get("n")
         if not isinstance(n, int) or n < 1:
-            raise SystemExit(
+            raise InvalidEnsembleError(
                 f"line {lineno}: 'open' needs a positive integer 'n'"
             )
         return op, n
@@ -716,16 +755,17 @@ def parse_delta_line(line: str, lineno: int) -> tuple[str, object]:
         if not isinstance(column, list) or not all(
             isinstance(a, int) and a >= 0 for a in column
         ):
-            raise SystemExit(
+            raise InvalidEnsembleError(
                 f"line {lineno}: {op!r} needs a 'column' list of "
                 f"non-negative atom indices"
             )
         return op, column
-    raise SystemExit(
+    raise InvalidEnsembleError(
         f"line {lineno}: unknown op {op!r}; expected 'open', 'add' or 'remove'"
     )
 
 
+@_reports_bad_input
 def serve_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro serve``."""
     from .serve import ServePool
@@ -839,6 +879,7 @@ def serve_main(argv: Sequence[str]) -> int:
     return 0 if solved == len(ids) else 1
 
 
+@_reports_bad_input
 def batch_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro batch``."""
     parser = _build_batch_parser()
@@ -905,6 +946,7 @@ def batch_main(argv: Sequence[str]) -> int:
     return 0 if solved == len(results) else 1
 
 
+@_reports_bad_input
 def certify_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro certify``."""
     args = _build_certify_parser().parse_args(argv)
@@ -970,6 +1012,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return lint_main(list(argv[1:]))
     if argv and argv[0] == "trace":
         return trace_main(list(argv[1:]))
+    return _solve_main(argv)
+
+
+@_reports_bad_input
+def _solve_main(argv: Sequence[str]) -> int:
+    """The plain solve mode: ``python -m repro [matrix]``."""
     args = _build_parser().parse_args(argv)
     if args.demo:
         text = _DEMO

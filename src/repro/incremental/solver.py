@@ -13,8 +13,8 @@ and DESIGN.md, Substitution 9).
 Semantics
 ---------
 * The session state is always *realizable*: an ``add_column`` whose
-  reduction fails is **refused** — the column is not admitted, the tree is
-  restored to its pre-attempt shape, and (with ``certify=True``) the
+  reduction fails is **refused** — the column is not admitted, the failed
+  reduction leaves the tree exactly as it was, and (with ``certify=True``) the
   refusal carries a checked :class:`~repro.certify.TuckerWitness` extracted
   by the existing :mod:`repro.certify` narrower from the current column
   set plus the offending column.  There is no "rejected session" state to
@@ -165,16 +165,13 @@ class IncrementalSolver:
     ) -> DeltaOutcome:
         """Admit ``column`` via one Booth–Lueker reduction, or refuse it.
 
-        A refused add leaves the session byte-for-byte unchanged (the tree
-        is restored from a pre-attempt snapshot — a failed reduction may
-        legally rearrange within the represented permutations, which would
-        otherwise make crash-replayed state diverge from the original).
-        With ``certify=True`` the refusal carries a Tucker witness over
+        A refused add leaves the session byte-for-byte unchanged: a failed
+        reduction undoes its own rewrites, so crash-replayed state cannot
+        diverge from the original.  With ``certify=True`` the refusal carries a Tucker witness over
         ``accepted columns + [column]``, whose ``row_indices`` index that
         column list (the offending column is index ``num_columns``).
         """
         col = self._validated(column)
-        snapshot = self._tree.root.clone() if self._tree.root is not None else None
         if self._tree.reduce(self._transform(col)):
             self._history.columns.append(col)
             return DeltaOutcome(
@@ -183,7 +180,6 @@ class IncrementalSolver:
                 order=self.layout(),
                 num_columns=self.num_columns,
             )
-        self._tree.root = snapshot
         certificate = None
         if certify:
             from ..certify.witness import extract_tucker_witness

@@ -11,6 +11,11 @@ normalised so that their full side comes first, which keeps the splicing
 logic short.  Each reduction costs ``O(n)`` (the simple, non-amortized
 variant); correctness — not the amortized constant — is what the baseline is
 used for.
+
+The templates rewrite ``children`` lists of the existing nodes as they go,
+and a reduction can fail above a node it has already rewritten.  Every
+rewrite is therefore logged, and a failed reduction replays the log
+backwards, so it leaves the tree exactly as it found it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ class PQTree:
             self.root = self._leaves[values[0]]
         else:
             self.root = PNode([self._leaves[v] for v in values])
+        #: ``(node, previous children list)`` per rewrite of the reduction
+        #: in progress; replayed backwards when it fails.
+        self._undo: list[tuple[PQNode, list[PQNode]]] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -64,9 +72,9 @@ class PQTree:
     def reduce(self, subset: Iterable[Hashable]) -> bool:
         """Constrain the elements of ``subset`` to be consecutive.
 
-        Returns ``True`` on success; on failure the tree is left unchanged
-        logically (it may have been partially rearranged, but only within the
-        permutations it already represented) and ``False`` is returned.
+        Returns ``True`` on success.  On failure every rewrite the attempt
+        made is undone — the tree, and so its frontier, is exactly as before
+        the call — and ``False`` is returned.
         """
         s = set(subset)
         unknown = s - set(self._leaves)
@@ -82,7 +90,11 @@ class PQTree:
                 pertinent_root, s, counts, is_root=True
             )
         except _Fail:
+            for node, children in reversed(self._undo):
+                node.children = children
             return False
+        finally:
+            self._undo.clear()
         new_node = _normalise(new_node)
         if parent is None:
             self.root = new_node
@@ -123,6 +135,11 @@ class PQTree:
             parent, index, node = node, nxt[0], nxt[1]
 
     # -- template machinery ---------------------------------------------- #
+    def _set_children(self, node: PQNode, children: list[PQNode]) -> None:
+        """Rewrite ``node``'s children, logging the old list for undo."""
+        self._undo.append((node, node.children))
+        node.children = children
+
     def _reduce_node(
         self, node: PQNode, s: set, counts: dict[int, int], *, is_root: bool
     ) -> tuple[PQNode, str]:
@@ -162,10 +179,10 @@ class PQTree:
         partials = [c for c, lab in processed if lab == PARTIAL]
 
         if not empties and not partials:
-            node.children = fulls
+            self._set_children(node, fulls)
             return node, FULL
         if not fulls and not partials:
-            node.children = empties
+            self._set_children(node, empties)
             return node, EMPTY
 
         if is_root:
@@ -174,16 +191,16 @@ class PQTree:
             if len(partials) == 0:
                 # template P2: gather the full children under one new child
                 full_child = wrap_children(fulls)
-                node.children = empties + ([full_child] if full_child else [])
+                self._set_children(node, empties + ([full_child] if full_child else []))
                 return node, FULL if not empties else PARTIAL
             if len(partials) == 1:
                 # template P4: hang the full children off the partial child's full end
                 pc = partials[0]
                 full_child = wrap_children(fulls)
                 new_children = ([full_child] if full_child else []) + pc.children
-                pc.children = [_normalise(c) for c in new_children]
+                self._set_children(pc, [_normalise(c) for c in new_children])
                 pc = _normalise(pc)
-                node.children = empties + [pc]
+                self._set_children(node, empties + [pc])
                 return (node if empties else pc), PARTIAL
             # template P6: two partial children merge around the full children
             pc1, pc2 = partials
@@ -192,7 +209,7 @@ class PQTree:
             merged = QNode(
                 [_normalise(c) for c in list(reversed(pc1.children)) + middle + pc2.children]
             )
-            node.children = empties + [merged]
+            self._set_children(node, empties + [merged])
             return (node if empties else merged), PARTIAL
 
         # not the pertinent root: at most one partial child survives
@@ -208,7 +225,7 @@ class PQTree:
                 + pc.children
                 + ([empty_child] if empty_child else [])
             )
-            pc.children = [_normalise(c) for c in new_children]
+            self._set_children(pc, [_normalise(c) for c in new_children])
             return _normalise(pc), PARTIAL
         # template P3: no partial child, both full and empty children present
         full_child = wrap_children(fulls)
@@ -227,17 +244,17 @@ class PQTree:
         children = [c for c, _ in processed]
 
         if all(lab == FULL for lab in labels):
-            node.children = children
+            self._set_children(node, children)
             return node, FULL
         if all(lab == EMPTY for lab in labels):
-            node.children = children
+            self._set_children(node, children)
             return node, EMPTY
 
         if is_root:
             ordered = self._orient_q_root(children, labels)
             if ordered is None:
                 raise _Fail
-            node.children = ordered
+            self._set_children(node, ordered)
             return node, PARTIAL
 
         # non-root Q-node (template Q2): pattern FULL* PARTIAL? EMPTY*
@@ -251,7 +268,7 @@ class PQTree:
                         new_children.extend(child.children)
                     else:
                         new_children.append(child)
-                node.children = [_normalise(c) for c in new_children]
+                self._set_children(node, [_normalise(c) for c in new_children])
                 return node, PARTIAL
         raise _Fail
 

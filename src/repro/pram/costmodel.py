@@ -292,7 +292,8 @@ def batch_split_savings(
     """Fraction of the sequential solve charge saved by batch splitting.
 
     The batch layer (:func:`repro.batch.solve_many`) splits *linear*
-    instances into connected components before dispatch; with ``k``
+    instances into connected components where it solves them — in-process
+    or inside the one pool task that carries the instance; with ``k``
     components of roughly equal weight the per-instance charge drops from
     ``p·log p`` to ``p·log(p/k)``, a saving of
     ``1 - log(p/k)/log(p)``.

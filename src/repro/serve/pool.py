@@ -7,10 +7,14 @@ submitting thread packs instances once into the wire format of
 segment, and enqueues only the segment name plus a few solver flags.  The
 worker attaches the segment, rebuilds each
 :class:`~repro.core.indexed.IndexedEnsemble` straight from the buffer and
-solves; the parent unlinks the segment when the results land.  Small tasks
-are *bundled* — many wire payloads per segment, mirroring ``chunksize`` on
-an executor ``map`` — so a fleet of tiny instances costs one message and
-one worker wake-up per chunk, not per instance.
+solves; the parent unlinks the segment when the results land.  One task
+carries one whole instance, and the worker runs the per-instance routine
+of :func:`repro.batch.solve_many` on it — component split, component
+solves, witness extraction — so nothing is split or reassembled in the
+parent.  Small tasks are *bundled* — many wire payloads per segment,
+mirroring ``chunksize`` on an executor ``map`` — so a fleet of tiny
+instances costs one message and one worker wake-up per chunk, not per
+instance.
 
 The workers themselves — spawn, the worker loop, crash detection, respawn
 and re-dispatch under ``max_task_retries``, shutdown — are the fleet core
@@ -36,17 +40,18 @@ Robustness model
 * **Backpressure.**  At most ``max_inflight`` bundles (and therefore
   shared-memory segments) exist at a time; ``submit`` blocks once the
   window is full and unblocks as results arrive.  ``max_segment_bytes``
-  bounds the per-segment budget: oversized single instances are rejected
-  up front, and the streaming chunker flushes bundles early to stay under
-  it.
+  bounds the per-segment budget: an instance whose whole payload is over
+  it is rejected up front, and the streaming chunker flushes bundles early
+  to stay under it.
 * **Graceful shutdown.**  ``close()`` (also via ``with``) drains pending
   work, sends each worker a sentinel, joins them until its deadline,
   SIGKILLs stragglers, and unlinks any segment still alive.
 
 Determinism: a pool run is differentially identical to serial
-:func:`repro.batch.solve_many` — same component decomposition, same
-per-task solver entry points, same witness extraction — which the soak
-suite (``tests/test_serve_stress.py``) checks byte for byte.
+:func:`repro.batch.solve_many` by construction: the worker handler calls
+the same per-instance routine (``batch._solve_instance``) on the same
+instance, rebuilt from its wire payload.  The soak suite
+(``tests/test_serve_stress.py``) checks it byte for byte.
 """
 
 from __future__ import annotations
@@ -58,12 +63,7 @@ import threading
 import time
 from typing import Hashable, Iterable, Iterator
 
-from ..batch import (
-    BatchResult,
-    _component_witness_remap,
-    _linear_component_ensembles,
-    _split_mode,
-)
+from ..batch import BatchResult, _certificate, _solve_instance, _split_mode
 from ..core.bitset import mask_from_indices, mask_to_indices
 from ..core.indexed import IndexedEnsemble
 from ..ensemble import Ensemble
@@ -79,25 +79,26 @@ Atom = Hashable
 __all__ = ["ServePool", "ServeFuture"]
 
 #: bundle-entry kind bytes understood by the worker handler.
-_K_SOLVE, _K_SOLVE_CERTIFY, _K_CERTIFY, _K_DELTA = 0, 1, 2, 3
-#: stream stages (tags carried on futures).
-_SOLVE, _CERTIFY, _DELTA = "solve", "certify", "delta"
+_K_SOLVE, _K_DELTA = 0, 1
 
 
 # ---------------------------------------------------------------------- #
 # the worker side
 # ---------------------------------------------------------------------- #
 def _serve_bundle(buf, args, sessions) -> list:
-    """Fleet handler: solve one bundle, one ``(order, witness_json)`` per entry.
+    """Fleet handler: solve one bundle, one outcome per entry.
 
-    ``args`` is ``(circular, kernel, engine)``.  ``sessions`` is the
+    ``args`` is ``(circular, kernel, engine, split, certify)``, with
+    ``split`` a :attr:`~repro.batch.BatchResult.split` mode.  A solve entry
+    answers ``(order, witness_json, parts)`` (:func:`_solve_entry`), a
+    delta entry ``(order, witness_json)``.  ``sessions`` is the
     worker-local delta-session table: incremental solvers keyed by session
     id, populated by ``C1PD`` OPEN frames and mutated in place by
     ADD/REMOVE frames.  It lives in this process only — the parent's
     replay log (acked frames per session) is the durable copy that
     rebuilds it on a respawned worker.
     """
-    circular, kernel, engine = args
+    circular, kernel, engine, split, certify = args
     # Copy the entry payloads out of the segment before it is closed:
     # holding memoryview slices across close() would raise BufferError
     # ("exported pointers exist").  The copy is a few hundred bytes per
@@ -107,46 +108,34 @@ def _serve_bundle(buf, args, sessions) -> list:
         return [
             _delta_entry(sessions, payload, kernel, engine)
             if kind == _K_DELTA
-            else _solve_entry(kind, payload, circular, kernel, engine)
+            else _solve_entry(payload, circular, kernel, engine, split, certify)
             for kind, payload in entries
         ]
 
 
-def _solve_entry(kind, payload, circular, kernel, engine):
-    """Solve one bundle entry; returns ``(order, witness_json)``."""
-    from ..core import cycle_realization, path_realization
+def _solve_entry(payload, circular, kernel, engine, split, certify):
+    """Solve one whole instance; returns ``(order, witness_json, parts)``.
 
-    tracer = current_tracer()
-    indexed = IndexedEnsemble.from_packed_masks(payload)
-    # The label-level round trip keeps the pool differentially
-    # identical to serial solve_many, which dispatches
-    # label-level sub-ensembles to the same entry points.
-    ensemble = indexed.to_ensemble()
-    order = witness_json = None
-    if kind in (_K_SOLVE, _K_SOLVE_CERTIFY):
-        solve = cycle_realization if circular else path_realization
-        with tracer.span("serve.solve", n=indexed.num_atoms, m=indexed.num_columns):
-            order = solve(ensemble, kernel=kernel, engine=engine)
-    if (kind == _K_SOLVE_CERTIFY and order is None) or kind == _K_CERTIFY:
-        from ..certify.witness import extract_tucker_witness
-
-        with tracer.span("serve.certify", n=indexed.num_atoms, m=indexed.num_columns):
-            witness_json = extract_tucker_witness(
-                ensemble,
-                kernel=kernel,
-                engine=engine,
-                circular=circular,
-                assume_rejected=True,
-            ).to_json()
-    return (order, witness_json)
+    This is serial ``solve_many``'s per-instance routine: the worker splits
+    the instance into components (when ``split`` says so), solves them in
+    order up to the first rejection and, with ``certify``, extracts that
+    component's witness re-indexed to the instance's columns — all in this
+    one task.  The label-level round trip keeps the result byte-identical
+    to serial, which runs the routine on the label-level ensemble.
+    """
+    ensemble = IndexedEnsemble.from_packed_masks(payload).to_ensemble()
+    order, parts, witness = _solve_instance(
+        ensemble, split, circular, kernel, engine, certify, span_prefix="serve"
+    )
+    return (order, None if witness is None else witness.to_json(), parts)
 
 
 def _delta_entry(sessions, payload, kernel, engine):
     """Apply one delta frame to this worker's session table.
 
-    Returns the same ``(order, witness_json)`` outcome shape as
-    :func:`_solve_entry`: an accepted delta carries the session's new
-    frontier layout, a refused one ``(None, witness-or-None)``.  Replay
+    Returns ``(order, witness_json)``: an accepted delta carries the
+    session's new frontier layout, a refused one ``(None,
+    witness-or-None)``.  Replay
     frames (crash recovery re-ships of already-answered deltas) skip
     witness extraction — their results were delivered before the crash
     and the parent discards the replayed outcomes anyway.
@@ -212,7 +201,7 @@ class ServeFuture:
     certify-flavoured tasks that rejected, the Tucker witness as its JSON
     payload (reconstruct with
     :func:`repro.certify.certificates.certificate_from_json`).  For an
-    internal bundle it returns the list of such pairs.
+    internal bundle it returns the list of the handler's per-entry outcomes.
     """
 
     __slots__ = ("tag", "_event", "_value", "_error")
@@ -445,13 +434,12 @@ class ServePool:
         engine: str | None = None,
         certify: bool = False,
         trace: "Tracer | None" = None,
-        _kind: int | None = None,
-        _tag=None,
     ) -> ServeFuture:
         """Pack one instance into a segment and dispatch it; thread-safe.
 
         Blocks while the in-flight window is full.  Returns a
-        :class:`ServeFuture` resolving to ``(order, witness_json)``.  With
+        :class:`ServeFuture` resolving to ``(order, witness_json)``.  The
+        instance is solved whole (never component-split).  With
         ``certify=True`` a rejected instance's witness is extracted by the
         same worker in the same task — no second pool, no second hop.
         ``trace=`` records a ``serve.task`` span for the dispatch and
@@ -468,16 +456,11 @@ class ServePool:
                 f"({wire.bundle_size([len(payload)])} framed), over the "
                 f"pool's segment budget of {self.max_segment_bytes}"
             )
-        kind = _kind if _kind is not None else (
-            _K_SOLVE_CERTIFY if certify else _K_SOLVE
-        )
         return self._submit_bundle(
-            [(kind, payload)],
-            circular=circular,
-            kernel=kernel,
-            engine=engine,
+            [(_K_SOLVE, payload)],
+            (circular, kernel, engine, "off", certify),
             done_q=None,
-            tag=_tag,
+            tag=None,
             single=True,
             trace=trace,
         )
@@ -485,17 +468,19 @@ class ServePool:
     def _submit_bundle(
         self,
         entries: list[tuple[int, bytes]],
+        args: tuple,
         *,
-        circular: bool,
-        kernel: str,
-        engine: str | None,
         done_q: "queue.Queue | None",
         tag,
         single: bool,
         trace: "Tracer | None" = None,
         session: "_DeltaSession | None" = None,
     ) -> ServeFuture:
-        """Ship one bundle of packed entries; blocks on the in-flight window."""
+        """Ship one bundle of packed entries; blocks on the in-flight window.
+
+        ``args`` is the handler's ``(circular, kernel, engine, split,
+        certify)`` for every entry of the bundle.
+        """
         frame = wire.pack_bundle(entries)
         if self._closed:
             raise ServeError("cannot submit to a closed pool")
@@ -545,7 +530,7 @@ class ServePool:
                 inflight = None
                 try:
                     inflight = _Inflight(
-                        segment, (circular, kernel, engine), ServeFuture(tag),
+                        segment, args, ServeFuture(tag),
                         done_q, single, session=session,
                         entries=entries if session is not None else None,
                     )
@@ -609,8 +594,10 @@ class ServePool:
         )
         self.metrics.gauge("serve.queue_depth").set(len(self._fleet.pending))
         if status == "done":
+            # A single submit() answers (order, witness_json), without the
+            # component count the stream reads off a solve entry.
             self._resolve(
-                inflight, value=payload[0] if inflight.single else payload
+                inflight, value=payload[0][:2] if inflight.single else payload
             )
         else:
             self._resolve(
@@ -671,10 +658,14 @@ class ServePool:
         Submission runs on a feeder thread and consumes ``ensembles``
         *lazily*: a generator (e.g. instances parsed off a socket or
         stdin) starts producing results before it is exhausted, bounded by
-        the pool's in-flight window.  ``chunksize`` controls how many
-        tasks share a segment; the default is the executor policy
-        (``tasks // (workers * 4)``) for sized inputs and ``1`` — lowest
-        per-instance latency — for unsized streams.  ``parallel`` (the
+        the pool's in-flight window.  Each instance is one task, solved
+        whole by one worker — component split, component solves and witness
+        extraction included — so a multi-component instance is not spread
+        over workers (that is ``parallel=``'s axis, not the pool's).
+        ``chunksize`` controls how many instances share a segment; the
+        default is the executor policy (``instances // (workers * 4)``) for
+        sized inputs and ``1`` — lowest per-instance latency — for unsized
+        streams.  ``parallel`` (the
         intra-instance fan-out of :mod:`repro.parallel`) is rejected:
         serve workers are single-process by design.
 
@@ -753,31 +744,39 @@ class ServePool:
         feeder_error: list[BaseException] = []
         tracer = trace if trace is not None else current_tracer()
         stream_trace = tracer if tracer.enabled else None
+        # Cache misses solve the canonical instance whole: stored answers
+        # are whole-instance.
+        split = (
+            "cache" if cache is not None else _split_mode(split_components, circular)
+        )
+        args = (circular, kernel, engine, split, certify)
 
-        def _flush(group: list[tuple[tuple, int, bytes]]) -> None:
+        def _answer(index, instance, order, witness_json, parts=1) -> BatchResult:
+            return _result(
+                index, order, witness_json, instance.num_atoms,
+                instance.num_columns, parts, split, circular, certify,
+            )
+
+        def _flush(group: list[tuple[int, bytes]]) -> None:
             self._submit_bundle(
-                [(kind, payload) for _, kind, payload in group],
-                circular=circular,
-                kernel=kernel,
-                engine=engine,
+                [(_K_SOLVE, payload) for _, payload in group],
+                args,
                 done_q=done_q,
-                tag=tuple(tag for tag, _, _ in group),
+                tag=tuple(index for index, _ in group),
                 single=False,
                 trace=stream_trace,
             )
 
-        split = _split_mode(split_components, circular)
-
         def _feed() -> None:
             try:
-                group: list[tuple[tuple, int, bytes]] = []
+                group: list[tuple[int, bytes]] = []
                 group_bytes = wire.BUNDLE_HEADER.size
                 count = 0
                 for index, instance in enumerate(ensembles):
                     count += 1
-                    probe = None
+                    state = _StreamState(instance)
                     if cache is not None:
-                        probe = cache.probe(
+                        probe = state.probe = cache.probe(
                             instance,
                             circular=circular,
                             certify=certify,
@@ -814,44 +813,26 @@ class ServePool:
                                 ).inc()
                                 continue
                             leader_of[ckey] = index
-                        subs = [probe.canonical]
-                    elif split == "components":
-                        subs = _linear_component_ensembles(instance)
-                    else:
-                        subs = [instance]
-                    states[index] = _StreamState(
-                        index, instance, subs,
-                        "cache" if probe is not None else split,
-                        probe=probe,
-                    )
-                    if probe is not None:
-                        states[index].coalesce_key = ckey
-                    kind = (
-                        _K_SOLVE_CERTIFY
-                        if certify and len(subs) == 1
-                        else _K_SOLVE
-                    )
-                    for part, sub in enumerate(subs):
-                        payload = _pack_instance(sub)
-                        cost = wire.ENTRY_HEADER.size + len(payload)
-                        if self.max_segment_bytes is not None:
-                            if (
-                                wire.BUNDLE_HEADER.size + cost
-                                > self.max_segment_bytes
-                            ):
-                                raise ServeError(
-                                    f"packed payload is {len(payload)} bytes, "
-                                    f"over the pool's segment budget of "
-                                    f"{self.max_segment_bytes}"
-                                )
-                            if group and group_bytes + cost > self.max_segment_bytes:
-                                _flush(group)
-                                group, group_bytes = [], wire.BUNDLE_HEADER.size
-                        group.append(((index, part, _SOLVE), kind, payload))
-                        group_bytes += cost
-                        if len(group) >= chunksize:
+                        state.coalesce_key = ckey
+                        instance = probe.canonical
+                    states[index] = state
+                    payload = _pack_instance(instance)
+                    cost = wire.ENTRY_HEADER.size + len(payload)
+                    if self.max_segment_bytes is not None:
+                        if wire.BUNDLE_HEADER.size + cost > self.max_segment_bytes:
+                            raise ServeError(
+                                f"packed payload is {len(payload)} bytes, "
+                                f"over the pool's segment budget of "
+                                f"{self.max_segment_bytes}"
+                            )
+                        if group and group_bytes + cost > self.max_segment_bytes:
                             _flush(group)
                             group, group_bytes = [], wire.BUNDLE_HEADER.size
+                    group.append((index, payload))
+                    group_bytes += cost
+                    if len(group) >= chunksize:
+                        _flush(group)
+                        group, group_bytes = [], wire.BUNDLE_HEADER.size
                 if group:
                     _flush(group)
                 done_q.put(("end", count))
@@ -878,27 +859,27 @@ class ServePool:
                     continue
                 if isinstance(message, tuple) and message[0] == "cached":
                     _, index, instance, probe = message
-                    ready = [
-                        self._cached_result(
-                            index, instance, probe, circular, certify
-                        )
-                    ]
+                    ready = [_answer(index, instance, *probe.result())]
                 else:
                     future = message
-                    outcomes = future.result()
                     ready = []
-                    for (index, part, stage), (order, witness_json) in zip(
-                        future.tag, outcomes
+                    for index, (order, witness_json, parts) in zip(
+                        future.tag, future.result()
                     ):
                         state = states[index]
-                        result = self._advance(
-                            state, part, stage, order, witness_json,
-                            circular, kernel, engine, done_q, certify,
-                            stream_trace,
-                        )
-                        if result is None:
-                            continue
-                        if state.coalesce_key is not None:
+                        if state.probe is not None:
+                            # Cache miss completing: the worker solved the
+                            # *canonical* instance.  Store the
+                            # canonical-space answer, then carry on with it
+                            # remapped onto the request's own labels —
+                            # exactly what a hit would have returned.
+                            canon_payload = (
+                                None if order is None else tuple(order),
+                                witness_json,
+                            )
+                            order, witness_json = state.probe.store(
+                                order, witness_json
+                            )
                             # Retire the leader under the lock, then
                             # fulfill every follower from the shared
                             # canonical payload — each remapped through
@@ -908,15 +889,16 @@ class ServePool:
                                 followers = state.followers
                                 state.followers = []
                             for f_index, f_instance, f_probe in followers:
-                                f_probe.fulfill(state.canon_payload)
+                                f_probe.fulfill(canon_payload)
                                 ready.append(
-                                    self._cached_result(
-                                        f_index, f_instance, f_probe,
-                                        circular, certify,
-                                    )
+                                    _answer(f_index, f_instance, *f_probe.result())
                                 )
                         states.pop(index, None)
-                        ready.append(result)
+                        ready.append(
+                            _answer(
+                                index, state.ensemble, order, witness_json, parts
+                            )
+                        )
                 for result in ready:
                     completed += 1
                     if not ordered:
@@ -928,120 +910,6 @@ class ServePool:
                         next_index += 1
         finally:
             feeder.join(timeout=5.0)
-
-    def _advance(
-        self,
-        state: "_StreamState",
-        part: int,
-        stage: str,
-        order,
-        witness_json,
-        circular: bool,
-        kernel: str,
-        engine: str | None,
-        done_q: "queue.Queue",
-        certify: bool,
-        trace: "Tracer | None" = None,
-    ) -> BatchResult | None:
-        """Feed one completed outcome into an instance; return it when done."""
-        if stage == _CERTIFY:
-            from ..certify.certificates import certificate_from_json
-
-            certificate = certificate_from_json(witness_json)
-            if state.cert_sub is not None and state.cert_sub is not state.ensemble:
-                certificate = _component_witness_remap(
-                    certificate, state.ensemble, state.cert_sub
-                )
-            state.result.certificate = certificate
-            return state.result
-        state.orders[part] = order
-        state.witness_json = state.witness_json or witness_json
-        state.received += 1
-        if state.received < state.parts:
-            return None
-        if any(piece is None for piece in state.orders):
-            combined: list | None = None
-        else:
-            combined = [atom for piece in state.orders for atom in piece]
-        if state.probe is not None:
-            # Cache miss completing: the worker solved the *canonical*
-            # instance.  Store the canonical-space answer, then carry on
-            # with it remapped onto the request's own labels — exactly
-            # what a hit would have returned.  The canonical payload is
-            # kept for coalesced followers to adopt.
-            state.canon_payload = (
-                None if combined is None else tuple(combined),
-                state.witness_json,
-            )
-            combined, state.witness_json = state.probe.store(
-                combined, state.witness_json
-            )
-        state.result = BatchResult(
-            index=state.index,
-            order=combined,
-            num_atoms=state.ensemble.num_atoms,
-            num_columns=state.ensemble.num_columns,
-            parts=state.parts,
-            status="realized" if combined is not None else "rejected",
-            split=state.split,
-        )
-        if not certify:
-            return state.result
-        if combined is not None:
-            from ..certify.certificates import OrderCertificate
-
-            kind = "circular" if circular else "consecutive"
-            state.result.certificate = OrderCertificate(kind, tuple(combined))
-            return state.result
-        if state.witness_json is not None:  # inline extraction rode the task
-            from ..certify.certificates import certificate_from_json
-
-            state.result.certificate = certificate_from_json(state.witness_json)
-            return state.result
-        # Multi-part rejection: extract from the first failed component's
-        # sub-ensemble — exactly what serial solve_many does — through the
-        # same warm pool; the witness rows are re-indexed to the input
-        # columns when the extraction comes back.
-        failed = state.orders.index(None)
-        state.cert_sub = state.subs[failed]
-        self._submit_bundle(
-            [(_K_CERTIFY, _pack_instance(state.cert_sub))],
-            circular=circular,
-            kernel=kernel,
-            engine=engine,
-            done_q=done_q,
-            tag=((state.index, 0, _CERTIFY),),
-            single=False,
-            trace=trace,
-        )
-        return None
-
-    def _cached_result(
-        self, index, instance, probe, circular: bool, certify: bool
-    ) -> BatchResult:
-        """Materialize a cache hit as a :class:`~repro.batch.BatchResult`."""
-        order, witness_json = probe.result()
-        result = BatchResult(
-            index=index,
-            order=None if order is None else list(order),
-            num_atoms=instance.num_atoms,
-            num_columns=instance.num_columns,
-            parts=1,
-            status="realized" if order is not None else "rejected",
-            split="cache",
-        )
-        if certify:
-            if order is not None:
-                from ..certify.certificates import OrderCertificate
-
-                result.certificate = OrderCertificate(
-                    "circular" if circular else "consecutive", tuple(order)
-                )
-            elif witness_json is not None:
-                from ..certify.certificates import certificate_from_json
-
-                result.certificate = certificate_from_json(witness_json)
-        return result
 
     def _delta_stream(
         self,
@@ -1064,8 +932,6 @@ class ServePool:
         results arrive, so a crash mid-bundle replays exactly the acked
         prefix plus the unanswered bundle.
         """
-        from ..certify.certificates import OrderCertificate, certificate_from_json
-
         if chunksize is None:
             chunksize = 1
         if chunksize < 1:
@@ -1074,21 +940,15 @@ class ServePool:
         stream_trace = tracer if tracer.enabled else None
         session = _DeltaSession(next(self._session_counter))
         self.metrics.counter("serve.delta_sessions").inc()
-        kind = "circular" if circular else "consecutive"
         num_columns = 0
 
         def _flush(batch: list[tuple[str, bytes]]) -> list[BatchResult]:
             nonlocal num_columns
             future = self._submit_bundle(
                 [(_K_DELTA, frame) for _, frame in batch],
-                circular=circular,
-                kernel=kernel,
-                engine=engine,
+                (circular, kernel, engine, "delta", certify),
                 done_q=None,
-                tag=tuple(
-                    (session.session_id, pos, _DELTA)
-                    for pos in range(len(batch))
-                ),
+                tag=None,
                 single=False,
                 trace=stream_trace,
                 session=session,
@@ -1100,31 +960,18 @@ class ServePool:
             session.acked.extend(frame for _, frame in batch)
             results = []
             for (op, _), (order, witness_json) in zip(batch, outcomes):
-                accepted = order is not None
-                if accepted and op == "add":
+                if order is not None and op == "add":
                     num_columns += 1
-                elif accepted and op == "remove":
+                elif order is not None and op == "remove":
                     num_columns -= 1
                 self.metrics.counter("serve.delta_frames").inc()
-                result = BatchResult(
-                    index=len(session.acked) - len(batch) + len(results),
-                    order=None if order is None else list(order),
-                    num_atoms=session.num_atoms,
-                    num_columns=num_columns,
-                    parts=1,
-                    status="realized" if accepted else "rejected",
-                    split="delta",
+                results.append(
+                    _result(
+                        len(session.acked) - len(batch) + len(results),
+                        order, witness_json, session.num_atoms, num_columns,
+                        1, "delta", circular, certify,
+                    )
                 )
-                if certify:
-                    if accepted:
-                        result.certificate = OrderCertificate(
-                            kind, tuple(result.order)
-                        )
-                    elif witness_json is not None:
-                        result.certificate = certificate_from_json(
-                            witness_json
-                        )
-                results.append(result)
             return results
 
         batch: list[tuple[str, bytes]] = []
@@ -1250,37 +1097,39 @@ class ServePool:
         return self.metrics.snapshot()
 
 
-class _StreamState:
-    """Per-instance reassembly state for :meth:`ServePool.solve_stream`."""
+def _result(
+    index, order, witness_json, num_atoms, num_columns, parts, split,
+    circular, certify,
+) -> BatchResult:
+    """One stream answer as a :class:`~repro.batch.BatchResult`."""
+    certificate = None
+    if certify:
+        from ..certify.certificates import certificate_from_json
 
-    __slots__ = (
-        "index", "ensemble", "subs", "parts", "orders", "received", "result",
-        "witness_json", "cert_sub", "split", "probe", "followers",
-        "coalesce_key", "canon_payload",
+        witness = None if witness_json is None else certificate_from_json(witness_json)
+        certificate = _certificate(order, witness, circular)
+    return BatchResult(
+        index=index,
+        order=None if order is None else list(order),
+        num_atoms=num_atoms,
+        num_columns=num_columns,
+        parts=parts,
+        status="realized" if order is not None else "rejected",
+        certificate=certificate,
+        split=split,
     )
 
-    def __init__(
-        self,
-        index: int,
-        ensemble: Ensemble,
-        subs: list[Ensemble],
-        split: str = "",
-        probe=None,
-    ) -> None:
-        self.index = index
+
+class _StreamState:
+    """Per-instance state of :meth:`ServePool.solve_stream` while in flight."""
+
+    __slots__ = ("ensemble", "probe", "followers", "coalesce_key")
+
+    def __init__(self, ensemble: Ensemble) -> None:
         self.ensemble = ensemble
-        self.subs = subs
-        self.split = split
-        self.probe = probe
-        self.parts = len(subs)
-        self.orders: list[list | None] = [None] * self.parts
-        self.received = 0
-        self.result: BatchResult | None = None
-        self.witness_json = None
-        self.cert_sub: Ensemble | None = None
-        # Coalescing (cache misses only): duplicate requests that probed
-        # while this miss was in flight ride its solve instead of
+        # Cache misses only: the miss's probe, and the duplicate requests
+        # that probed while it was in flight and ride its solve instead of
         # dispatching their own.
+        self.probe = None
         self.followers: list[tuple] = []
         self.coalesce_key: tuple | None = None
-        self.canon_payload: tuple | None = None

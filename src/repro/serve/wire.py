@@ -273,8 +273,8 @@ def pack_bundle(entries: Sequence[tuple[int, bytes]]) -> bytes:
     Bundling is how the pool amortizes per-message dispatch cost over many
     small instances, exactly like ``chunksize`` on an executor ``map``: one
     segment, one queue message, one wake-up for a whole chunk of tasks.
-    ``kind`` is an application byte (the pool uses it for solve /
-    solve+certify / certify); payloads are :func:`pack_ensemble` frames.
+    ``kind`` is an application byte (the pool uses it to tell instance
+    entries from delta frames); payloads are :func:`pack_ensemble` frames.
     """
     parts = [BUNDLE_HEADER.pack(BUNDLE_MAGIC, WIRE_VERSION, 0, len(entries))]
     bodies = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main, parse_matrix_text
+from repro.errors import InvalidEnsembleError
 
 
 class TestParsing:
@@ -17,16 +18,37 @@ class TestParsing:
         assert parse_matrix_text(text) == [[1, 0], [0, 1]]
 
     def test_rejects_non_binary(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(InvalidEnsembleError):
             parse_matrix_text("1 2\n")
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(InvalidEnsembleError):
             parse_matrix_text("1 0\n1\n")
 
     def test_rejects_empty_input(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(InvalidEnsembleError):
             parse_matrix_text("# nothing\n")
+
+
+class TestBadInput:
+    """Unusable input exits 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("mode", [[], ["batch"], ["certify"], ["serve"]])
+    def test_missing_file_exits_2(self, tmp_path, capsys, mode):
+        missing = str(tmp_path / "absent.csv")
+        assert main(mode + [missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("repro: error: ") and "absent.csv" in line
+
+    @pytest.mark.parametrize("mode", [[], ["batch"], ["certify"]])
+    def test_malformed_matrix_exits_2(self, tmp_path, capsys, mode):
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n")
+        assert main(mode + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "0 or 1" in err
 
 
 class TestMain:
@@ -218,18 +240,16 @@ class TestServeSubcommand:
 
     def test_serve_rejects_malformed_lines(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json at all\n")
-        with pytest.raises(SystemExit, match="line 1"):
-            main(["serve", str(path), "--quiet"])
-        path.write_text('{"no_matrix": 1}\n')
-        with pytest.raises(SystemExit, match="matrix"):
-            main(["serve", str(path), "--quiet"])
-        path.write_text("[[1, 2]]\n")
-        with pytest.raises(SystemExit, match="0 or 1"):
-            main(["serve", str(path), "--quiet"])
-        path.write_text("[[1], [1, 0]]\n")
-        with pytest.raises(SystemExit, match="same length"):
-            main(["serve", str(path), "--quiet"])
+        for text, message in [
+            ("not json at all\n", "line 1"),
+            ('{"no_matrix": 1}\n', "matrix"),
+            ("[[1, 2]]\n", "0 or 1"),
+            ("[[1], [1, 0]]\n", "same length"),
+        ]:
+            path.write_text(text)
+            assert main(["serve", str(path), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error: ") and message in err
 
     def test_serve_comments_and_blank_lines_ignored(self, tmp_path, capsys):
         import json

@@ -64,6 +64,18 @@ class TestPQTreeBasics:
         assert tree.reduce({"b", "c"})
         assert not tree.reduce({"a", "c"})
 
+    def test_failed_reduction_leaves_tree_unchanged(self):
+        # P4/P5/Q2 rewrite a child's children before an ancestor fails; the
+        # failed reduce must undo them (here it used to leave 10 leaves for
+        # 9 atoms).
+        tree = PQTree(range(9))
+        for subset in ({0, 1, 3, 4, 5, 8}, {3, 5}, {1, 3, 4, 5, 6, 7, 8}, {3, 4, 8}):
+            assert tree.reduce(subset)
+        before = tree.frontier()
+        assert not tree.reduce({1, 2, 4, 6, 8})
+        assert tree.frontier() == before
+        assert sorted(before) == list(range(9))
+
     def test_chain_of_overlapping_pairs(self):
         tree = PQTree(range(6))
         for i in range(5):
@@ -149,3 +161,24 @@ def test_property_pqtree_matches_brute_force(n, m, seed):
     rng = random.Random(seed)
     ens = random_ensemble(n, m, density=0.45, rng=rng)
     assert pqtree_has_c1p(ens) == brute_force_has_c1p(ens)
+
+
+@given(
+    n=st.integers(min_value=4, max_value=16),
+    seed=st.integers(min_value=0, max_value=1_000_000),
+)
+def test_property_failed_reduce_leaves_frontier_unchanged(n, seed):
+    """After any failed ``reduce`` the frontier is what it was before."""
+    rng = random.Random(seed)
+    hidden = list(range(n))
+    rng.shuffle(hidden)
+    tree = PQTree(range(n))
+    # Intervals of a hidden order always reduce; they build the P/Q
+    # structure a later failing reduction can partly rewrite.
+    for _ in range(rng.randint(1, 10)):
+        start = rng.randrange(n)
+        assert tree.reduce(hidden[start : rng.randrange(start + 1, n + 1)])
+    for _ in range(rng.randint(20, 40)):
+        before = tree.frontier()
+        if not tree.reduce(rng.sample(range(n), rng.randint(2, n - 1))):
+            assert tree.frontier() == before
