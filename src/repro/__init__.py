@@ -41,7 +41,7 @@ pickling ensembles — same results, certificates included:
 ...     for result in pool.solve_stream(stream_of_ensembles):
 ...         ...                                 # completion order
 
-For one *large* instance, ``parallel=N`` on any solver entry point (or
+For one *large* instance, ``parallel=N`` on a single-instance solver (or
 :class:`ParallelSolver` directly, :mod:`repro.parallel`) executes the
 paper's top-level divide with N real worker processes over shared-memory
 slices — byte-for-byte the serial kernel's answer, with a cost-model

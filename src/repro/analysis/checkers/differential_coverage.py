@@ -36,6 +36,7 @@ RULE = "differential-coverage"
 
 #: the fast paths whose reference-spec binding the default rule enforces.
 FAST_PATH_MODULES = (
+    "repro.batch",
     "repro.core.indexed",
     "repro.core.bitset",
     "repro.core.merge",

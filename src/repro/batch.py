@@ -15,8 +15,10 @@ both axes of independence:
   concatenated; the first component that rejects decides the instance.
 
 One per-instance routine, :func:`_solve_instance`, does the split, the
-component solves and the witness extraction, and it is the same routine
-serially and in a pool worker: one pool task carries one whole instance,
+component solves and the witness extraction on the instance compiled
+once to an :class:`~repro.core.indexed.IndexedEnsemble`, and it is the
+same routine serially and in a pool worker (which decodes the wire
+payload straight into one): one pool task carries one whole instance,
 so pool results are those of the serial loop by construction.  Every
 instance runs the integer-indexed kernel by default (see
 :mod:`repro.core.indexed`); pass ``kernel="reference"`` to run the
@@ -42,13 +44,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Hashable, Iterable
 
 from .core import cycle_realization, path_realization
+from .core.indexed import IndexedEnsemble, _components
+from .core.solver import _check_kernel
 from .ensemble import Ensemble
-from .errors import CertificationError
 from .obs.trace import NULL_TRACER, current_tracer, use_tracer
+from .tutte.decomposition import resolve_engine
 
 Atom = Hashable
 
@@ -76,10 +79,10 @@ class BatchResult:
     certificate: object | None = None
     #: what happened to component splitting for this instance:
     #: ``"components"`` (linear instance, split applied — ``parts`` counts the
-    #: pieces), ``"circular-skip"`` (splitting was requested but the instance
-    #: is circular, where component structure only emerges after the solver's
-    #: column normalisation, so it is *never* split), or ``"off"``
-    #: (``split_components=False``)
+    #: pieces) or ``"circular-skip"`` (a circular instance is *never* split:
+    #: dropping trivial and full columns preserves only linear layouts, and
+    #: the cycle solver's own column normalisation decides which columns are
+    #: trivial); pool streams add ``"cache"`` and ``"delta"``, solved whole
     split: str = ""
 
     @property
@@ -126,63 +129,40 @@ def _json_label(label):
 # ---------------------------------------------------------------------- #
 # the per-instance routine (shared with repro.serve's workers)
 # ---------------------------------------------------------------------- #
-def _component_witness_remap(witness, original: Ensemble, sub: Ensemble):
-    """Re-index a component witness to the original instance's columns.
+def _linear_parts(instance: IndexedEnsemble) -> list[tuple[IndexedEnsemble, list | None]]:
+    """Step 1 of Fig. 3 on a linear instance, once, at mask level.
 
-    The component split preserves column *contents*: trivial/full columns
-    are dropped whole, duplicates keep their first representative, and each
-    remaining column lies wholly inside one component, so every sub-ensemble
-    column set appears verbatim among the original columns.  Mapping each
-    witness row to the first original column with the same atom set
-    therefore yields an equally valid witness whose ``row_indices`` refer
-    to the input ensemble — without re-running the extraction's narrowing
-    re-solves on the full instance.
+    Columns of size <= 1, full columns and later duplicates are dropped
+    (the kernel's own ``effective_masks``): they are consecutive in every
+    layout, and keeping them would glue unrelated components together.
+    Each connected component of the rest becomes one part, re-densified
+    over its own columns, so concatenating the part layouts in component
+    order realizes the instance.  A part comes with the input index of
+    each of its columns, which re-indexes a witness found on the part to
+    the instance's columns.  A connected instance is one part, the whole
+    instance, with ``None`` for the indices.
     """
-    first_index: dict[frozenset, int] = {}
-    for i, col in enumerate(original.columns):
-        first_index.setdefault(col, i)
-    try:
-        rows = tuple(first_index[sub.columns[j]] for j in witness.row_indices)
-    except (KeyError, IndexError) as exc:
-        raise CertificationError(
-            "component witness references a column absent from the original "
-            "instance; the component split no longer preserves column sets"
-        ) from exc
-    return replace(witness, row_indices=rows)
-
-
-def _linear_component_ensembles(ensemble: Ensemble) -> list[Ensemble]:
-    """Sub-ensembles of the connected components that constrain a linear layout.
-
-    Trivial (size <= 1) and full columns are dropped first: they are
-    consecutive in every layout, and keeping them would glue unrelated
-    components together.  Concatenating the component layouts (in component
-    order) therefore realizes the original ensemble.
-    """
-    effective = ensemble.drop_trivial_columns(max_size=1, drop_full=True)
-    effective = effective.deduplicate_columns()
-    components = effective.components()
+    effective = instance.effective_masks()
+    components = _components(instance.universe_mask, effective)
     if len(components) <= 1:
-        return [ensemble]
-    return [effective.restrict(comp) for comp in components]
+        return [(instance, None)]
+    first: dict[int, int] = {}
+    for i, mask in enumerate(instance.masks):
+        first.setdefault(mask, i)
+    parts = []
+    for comp in components:
+        masks = [mask for mask in effective if mask & comp]
+        rows = [first[mask] for mask in masks]
+        names = [instance.column_names[i] for i in rows]
+        part = IndexedEnsemble(instance.atoms, masks, names).restrict(comp)
+        parts.append((part, rows))
+    return parts
 
 
-def _split_mode(split_components: bool, circular: bool) -> str:
-    """The ``BatchResult.split`` value for one :func:`solve_many` call.
-
-    Shared with :meth:`repro.serve.ServePool.solve_many` so serial and pool
-    summaries stay byte-for-byte identical.  ``"circular-skip"`` makes the
-    long-standing silent behaviour explicit: circular instances are *never*
-    component-split, because trivial/full-column dropping is only
-    layout-preserving for linear instances — the cycle solver's own column
-    normalisation (complementing majority columns) changes which columns are
-    trivial, so component structure emerges only inside the solve.
-    """
-    if not split_components:
-        return "off"
-    if circular:
-        return "circular-skip"
-    return "components"
+def _split_mode(circular: bool) -> str:
+    """The :attr:`BatchResult.split` value of a call; the pool shares it, so
+    serial and pool summaries agree byte for byte."""
+    return "circular-skip" if circular else "components"
 
 
 def _resolve_workers(processes: int | None, instances: int) -> int:
@@ -201,15 +181,24 @@ def solve_many(
     processes: int | None = None,
     kernel: str = "indexed",
     engine: str | None = None,
-    split_components: bool = True,
     certify: bool = False,
     pool=None,
-    parallel: int | None = None,
     trace=None,
     cache=None,
     incremental: bool = False,
 ) -> list[BatchResult]:
     """Solve every ensemble, optionally fanning work out over processes.
+
+    A linear instance is split into its connected components, which are
+    solved in component order and their layouts concatenated; the first
+    rejecting component decides the instance and the rest are not solved.
+    The split runs where the instance is solved — in the pool worker when
+    there is one — so ``BatchResult.parts`` counts components, not pool
+    tasks.  Circular instances are never split (component structure only
+    emerges after the solver's column normalisation), which is recorded as
+    ``BatchResult.split == "circular-skip"``; see
+    :func:`repro.pram.costmodel.batch_split_savings` for the cost-model
+    view of what the skip forgoes.
 
     Parameters
     ----------
@@ -224,53 +213,32 @@ def solve_many(
         carries one whole instance).  The workers are a transient
         :class:`repro.serve.ServePool` that lives for this call, driven
         exactly as ``pool=`` drives a warm one.  A single instance always
-        runs serially; fan-out *within* one instance is ``parallel=``.
+        runs serially; fan-out *within* one instance is
+        ``path_realization(parallel=N)`` / :class:`repro.parallel.ParallelSolver`.
     kernel:
         Execution engine per instance, as in :func:`repro.core.path_realization`.
     engine:
         Tutte decomposition engine per instance ("spqr" / "splitpair" /
         ``None`` for the default); carried inside each task so pool workers
         honour the selection too.
-    split_components:
-        For linear instances, solve independent connected components
-        separately, in component order, and concatenate their layouts; the
-        first rejecting component decides the instance and the rest are
-        not solved.  The split runs where the instance is solved — in the
-        pool worker when there is one — so ``BatchResult.parts`` counts
-        components, not pool tasks.  Circular
-        instances are never split (component structure only emerges after
-        the solver's column normalisation); when splitting is requested on a
-        circular call the skip is recorded explicitly as
-        ``BatchResult.split == "circular-skip"`` rather than silently
-        reporting one part.  See
-        :func:`repro.pram.costmodel.batch_split_savings` for the cost-model
-        view of what the skip forgoes.
     certify:
         Attach a certificate to every result: an ``OrderCertificate`` for
         realized instances and a checkable ``TuckerWitness`` for rejected
         ones.  A rejected split instance extracts its witness from the
-        rejecting component's sub-ensemble — reusing the narrowing the
-        solve already computed — and the witness rows are re-indexed so
-        they refer to the input columns.  The extraction runs in the same
-        task as the solve, in-process or on the pool worker alike.
+        rejecting component — reusing the narrowing the solve already
+        computed — and the witness rows are re-indexed so they refer to
+        the input columns.  The extraction runs in the same task as the
+        solve, in-process or on the pool worker alike.
     pool:
         A warm :class:`repro.serve.ServePool`.  When given, every instance
         is dispatched through the persistent workers over the packed
         shared-memory wire format, one task per instance, and ``processes``
         is ignored.  Results are identical, in the same order.
-    parallel:
-        Intra-instance workers (``repro.core.path_realization``'s
-        ``parallel=``): each instance is solved through one reused
-        :class:`repro.parallel.ParallelSolver` so its spawn-once slice
-        workers amortise across the batch.  Mutually exclusive with
-        ``processes`` — they fan out on different axes (within vs. across
-        instances) and composing them would oversubscribe the machine — and
-        rejected by ``pool=`` (serve workers are single-process by design).
     trace:
         A :class:`repro.obs.Tracer` recording phase spans for the batch, on
         every path: serially, and through the worker processes of
-        ``processes=``, ``pool=`` and ``parallel=``, whose worker-side spans
-        are stitched back under their dispatch spans.
+        ``processes=`` and ``pool=``, whose worker-side spans are stitched
+        back under their dispatch spans.
     cache:
         A :class:`repro.incremental.ResultCache` fronting the pool:
         relabeled duplicate instances are answered from the store instead
@@ -286,17 +254,6 @@ def solve_many(
     -------
     One :class:`BatchResult` per input ensemble, in input order.
     """
-    if parallel is not None:
-        if isinstance(parallel, bool) or not isinstance(parallel, int):
-            raise ValueError(f"parallel must be an int >= 1 or None, got {parallel!r}")
-        if parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
-        if processes is not None:
-            raise ValueError(
-                "parallel= (workers within one instance) and processes= "
-                "(workers across instances) are mutually exclusive; pick one "
-                "axis of fan-out"
-            )
     if cache is not None or incremental:
         if pool is None:
             raise ValueError(
@@ -310,16 +267,19 @@ def solve_many(
         instances = list(ensembles)
         workers = _resolve_workers(processes, len(instances))
         if workers < 2:
+            split = _split_mode(circular)
+            results = []
             with use_tracer(trace if trace is not None else current_tracer()):
-                return _solve_in_process(
-                    instances,
-                    _split_mode(split_components, circular),
-                    circular,
-                    kernel,
-                    engine,
-                    certify,
-                    parallel,
-                )
+                for index, ensemble in enumerate(instances):
+                    order, parts, witness = _solve_instance(
+                        IndexedEnsemble.from_ensemble(ensemble),
+                        split, circular, kernel, engine, certify,
+                    )
+                    results.append(_result(
+                        index, order, witness, ensemble.num_atoms,
+                        ensemble.num_columns, parts, split, circular, certify,
+                    ))
+            return results
         from .serve.pool import ServePool
 
         ensembles = instances
@@ -330,9 +290,7 @@ def solve_many(
             circular=circular,
             kernel=kernel,
             engine=engine,
-            split_components=split_components,
             certify=certify,
-            parallel=parallel,
             trace=trace,
             cache=cache,
             incremental=incremental,
@@ -342,73 +300,14 @@ def solve_many(
             transient.close()
 
 
-def _solve_in_process(
-    instances: list[Ensemble],
-    split: str,
-    circular: bool,
-    kernel: str,
-    engine: str | None,
-    certify: bool,
-    parallel: int | None,
-) -> list[BatchResult]:
-    """:func:`solve_many` on the calling process, under the ambient tracer.
-
-    With ``parallel`` > 1 on the indexed kernel, one
-    :class:`repro.parallel.ParallelSolver` solves every component so its
-    spawn-once slice workers amortise over the batch; its cost model still
-    decides per component whether fanning out beats the serial kernel, and
-    either way the layouts are byte-for-byte those of the serial kernel.
-    """
-    if parallel is None or parallel < 2 or kernel != "indexed":
-        return _instance_results(
-            instances, split, circular, kernel, engine, certify, None
-        )
-    from .parallel.solver import ParallelSolver
-
-    with ParallelSolver(parallel) as solver:
-        solve = partial(
-            solver.solve_cycle if circular else solver.solve_path, engine=engine
-        )
-        return _instance_results(
-            instances, split, circular, kernel, engine, certify, solve
-        )
-
-
-def _instance_results(
-    instances, split, circular, kernel, engine, certify, solve
-) -> list[BatchResult]:
-    """Run :func:`_solve_instance` over ``instances``; one result each."""
-    results = []
-    for index, ensemble in enumerate(instances):
-        order, parts, witness = _solve_instance(
-            ensemble, split, circular, kernel, engine, certify, solve=solve
-        )
-        results.append(
-            BatchResult(
-                index=index,
-                order=order,
-                num_atoms=ensemble.num_atoms,
-                num_columns=ensemble.num_columns,
-                parts=parts,
-                status="realized" if order is not None else "rejected",
-                certificate=(
-                    _certificate(order, witness, circular) if certify else None
-                ),
-                split=split,
-            )
-        )
-    return results
-
-
 def _solve_instance(
-    ensemble: Ensemble,
+    instance: IndexedEnsemble,
     split: str,
     circular: bool,
     kernel: str,
     engine: str | None,
     certify: bool,
     *,
-    solve=None,
     span_prefix: str | None = None,
 ) -> tuple[list | None, int, object | None]:
     """Solve one instance of :func:`solve_many`: split, solve, certify.
@@ -416,65 +315,88 @@ def _solve_instance(
     Serial ``solve_many`` and the pool worker both run this, so a pool
     result is the serial result by construction.
 
-    1. With ``split == "components"`` the instance is split into the
-       sub-ensembles of its connected components
-       (:func:`_linear_component_ensembles`); otherwise it is one part.
-    2. The parts are solved in component order and their layouts
-       concatenated.  The first rejection decides the instance, so the
-       parts after it are not solved.
+    1. With ``split == "components"`` the instance is split into the parts
+       of its connected components (:func:`_linear_parts`); otherwise it
+       is one part, the whole instance.
+    2. The parts are solved in component order (:func:`_solve_part`) and
+       their layouts concatenated.  The first rejection decides the
+       instance, so the parts after it are not solved.
     3. With ``certify``, a rejected instance's witness is extracted from
        the rejecting part and its rows re-indexed to the instance's
-       columns by :func:`_component_witness_remap`.
+       columns.
 
     Returns ``(order, parts, witness)``: the layout or ``None``, the number
     of parts, and the ``TuckerWitness`` of a certified rejection (else
-    ``None``).  ``solve`` replaces the per-part solver (``parallel=``
-    passes its reused :class:`repro.parallel.ParallelSolver`);
-    ``span_prefix`` traces the solve and the extraction as
+    ``None``).  ``span_prefix`` traces the solve and the extraction as
     ``<prefix>.solve`` / ``<prefix>.certify`` spans of the ambient tracer.
+    An unknown ``kernel`` or ``engine`` raises ``ValueError`` first.
     """
-    subs = (
-        _linear_component_ensembles(ensemble) if split == "components" else [ensemble]
-    )
-    if solve is None:
-        solve = partial(
-            cycle_realization if circular else path_realization,
-            kernel=kernel,
-            engine=engine,
-        )
+    _check_kernel(kernel)
+    resolve_engine(engine)
+    parts = _linear_parts(instance) if split == "components" else [(instance, None)]
     tracer = current_tracer() if span_prefix else NULL_TRACER
     order: list | None = []
     with tracer.span(
-        f"{span_prefix}.solve", n=ensemble.num_atoms, m=ensemble.num_columns
+        f"{span_prefix}.solve", n=instance.num_atoms, m=instance.num_columns
     ):
-        for sub in subs:
-            piece = solve(sub)
+        for part, rows in parts:
+            piece = _solve_part(part, circular, kernel, engine)
             if piece is None:
                 order = None
                 break
             order.extend(piece)
     if not certify or order is not None:
-        return order, len(subs), None
+        return order, len(parts), None
     from .certify.witness import extract_tucker_witness
 
-    # ``sub`` is the part that rejected.
-    with tracer.span(f"{span_prefix}.certify", n=sub.num_atoms, m=sub.num_columns):
+    # ``part`` is the one that rejected; ``rows`` its columns' input indices.
+    with tracer.span(f"{span_prefix}.certify", n=part.num_atoms, m=part.num_columns):
         witness = extract_tucker_witness(
-            sub,
+            part.to_ensemble(),
             kernel=kernel,
             engine=engine,
             circular=circular,
             assume_rejected=True,
         )
-    if sub is not ensemble:
-        witness = _component_witness_remap(witness, ensemble, sub)
-    return None, len(subs), witness
+    if rows is not None:
+        witness = replace(
+            witness, row_indices=tuple(rows[j] for j in witness.row_indices)
+        )
+    return None, len(parts), witness
 
 
-def _certificate(order: list | None, witness, circular: bool):
-    """A ``certify=True`` outcome's certificate: the layout, else the witness."""
-    if order is None:
-        return witness
-    from .certify.certificates import OrderCertificate
+def _solve_part(part: IndexedEnsemble, circular, kernel, engine) -> list | None:
+    """One part's layout; the reference kernel solves its label-level copy."""
+    if kernel == "indexed":
+        return (part.solve_cycle if circular else part.solve_path)(engine=engine)
+    realize = cycle_realization if circular else path_realization
+    return realize(part.to_ensemble(), kernel=kernel, engine=engine)
 
-    return OrderCertificate("circular" if circular else "consecutive", tuple(order))
+
+def _result(
+    index, order, witness, num_atoms, num_columns, parts, split, circular,
+    certify,
+) -> BatchResult:
+    """One instance's answer, serial or from a pool worker.
+
+    With ``certify`` a realized instance gets an ``OrderCertificate`` of
+    its layout, a rejected one its ``witness``.
+    """
+    certificate = None
+    if certify:
+        certificate = witness
+        if order is not None:
+            from .certify.certificates import OrderCertificate
+
+            kind = "circular" if circular else "consecutive"
+            certificate = OrderCertificate(kind, tuple(order))
+    return BatchResult(
+        index=index,
+        order=None if order is None else list(order),
+        num_atoms=num_atoms,
+        num_columns=num_columns,
+        parts=parts,
+        status="realized" if order is not None else "rejected",
+        certificate=certificate,
+        split=split,
+    )

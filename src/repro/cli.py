@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 from .batch import solve_many
 from .certify import check_ensemble
 from .core import ENGINES, cycle_realization, path_realization
-from .errors import InvalidEnsembleError
+from .errors import IncrementalError, InvalidEnsembleError
 from .tutte.decomposition import resolve_engine
 from .matrix import BinaryMatrix
 
@@ -88,15 +88,16 @@ _DEMO = """\
 def _reports_bad_input(entry: Callable[[Sequence[str]], int]):
     """Map unusable input to one ``repro: error:`` line and exit status 2.
 
-    Covers files that cannot be opened or read (``OSError``) and malformed
-    matrices or JSON lines (:class:`~repro.errors.InvalidEnsembleError`).
+    Covers files that cannot be opened or read (``OSError``), malformed
+    matrices or JSON lines (:class:`~repro.errors.InvalidEnsembleError`)
+    and malformed delta streams (:class:`~repro.errors.IncrementalError`).
     """
 
     @functools.wraps(entry)
     def run(argv: Sequence[str]) -> int:
         try:
             return entry(argv)
-        except (OSError, InvalidEnsembleError) as exc:
+        except (OSError, InvalidEnsembleError, IncrementalError) as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
 
@@ -722,7 +723,8 @@ def parse_instance_line(line: str, lineno: int) -> tuple[object, list[list[int]]
             raise InvalidEnsembleError(
                 f"line {lineno}: all rows must have the same length"
             )
-        if any(x not in (0, 1) for x in r):
+        # exact ints: JSON true/false and 1.0 compare equal to 1 and 0
+        if any(type(x) is not int or x not in (0, 1) for x in r):
             raise InvalidEnsembleError(f"line {lineno}: entries must be 0 or 1")
     return instance_id, rows
 
@@ -745,7 +747,7 @@ def parse_delta_line(line: str, lineno: int) -> tuple[str, object]:
     op = payload["op"]
     if op == "open":
         n = payload.get("n")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InvalidEnsembleError(
                 f"line {lineno}: 'open' needs a positive integer 'n'"
             )
@@ -753,7 +755,7 @@ def parse_delta_line(line: str, lineno: int) -> tuple[str, object]:
     if op in ("add", "remove"):
         column = payload.get("column")
         if not isinstance(column, list) or not all(
-            isinstance(a, int) and a >= 0 for a in column
+            type(a) is int and a >= 0 for a in column
         ):
             raise InvalidEnsembleError(
                 f"line {lineno}: {op!r} needs a 'column' list of "

@@ -13,9 +13,9 @@ processes operating on slices of a single shared-memory segment:
   ladder, with cost-model cutoffs and byte-for-byte serial parity.
 
 Entry points thread through as ``path_realization(..., parallel=N)``,
-``cycle_realization``, ``repro.batch.solve_many(parallel=N)`` and
-``repro solve --parallel N``.  See DESIGN.md, Substitution 7 for how
-this deviates from the paper's processor allocation and why.
+``cycle_realization`` and ``repro solve --parallel N``.  See DESIGN.md,
+Substitution 7 for how this deviates from the paper's processor
+allocation and why.
 """
 
 from .executor import SliceExecutor

@@ -70,8 +70,8 @@ class ParallelSolver:
 
     The executor is spawned lazily on the first solve that actually fans
     out, and reused across solves — a warm solver amortises worker
-    startup over a whole fleet (see :func:`repro.batch.solve_many` with
-    ``parallel=N``).  Use as a context manager, or call :meth:`close`.
+    startup over every instance it solves.  Use as a context manager, or
+    call :meth:`close`.
     """
 
     def __init__(

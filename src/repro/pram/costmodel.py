@@ -298,10 +298,10 @@ def batch_split_savings(
     ``p·log p`` to ``p·log(p/k)``, a saving of
     ``1 - log(p/k)/log(p)``.
 
-    Circular instances are **never** split by the batch layer — the
-    column complementation performed during a circular solve breaks the
-    identity-based witness remapping the split path relies on (see
-    ``BatchResult.split == "circular-skip"``) — so the saving is exactly
+    Circular instances are **never** split by the batch layer — dropping
+    trivial and full columns preserves only linear layouts, and the cycle
+    solver's own column normalisation decides which columns are trivial
+    (``BatchResult.split == "circular-skip"``) — so the saving is exactly
     ``0.0`` and cost models must not claim split savings for circular
     batches.
     """

@@ -63,7 +63,7 @@ import threading
 import time
 from typing import Hashable, Iterable, Iterator
 
-from ..batch import BatchResult, _certificate, _solve_instance, _split_mode
+from ..batch import BatchResult, _result as _batch_result, _solve_instance, _split_mode
 from ..core.bitset import mask_from_indices, mask_to_indices
 from ..core.indexed import IndexedEnsemble
 from ..ensemble import Ensemble
@@ -89,7 +89,9 @@ def _serve_bundle(buf, args, sessions) -> list:
     """Fleet handler: solve one bundle, one outcome per entry.
 
     ``args`` is ``(circular, kernel, engine, split, certify)``, with
-    ``split`` a :attr:`~repro.batch.BatchResult.split` mode.  A solve entry
+    ``split`` the stream's :attr:`~repro.batch.BatchResult.split` mode
+    (``"whole"`` for :meth:`ServePool.submit`); only ``"components"``
+    splits an instance.  A solve entry
     answers ``(order, witness_json, parts)`` (:func:`_solve_entry`), a
     delta entry ``(order, witness_json)``.  ``sessions`` is the
     worker-local delta-session table: incremental solvers keyed by session
@@ -116,16 +118,12 @@ def _serve_bundle(buf, args, sessions) -> list:
 def _solve_entry(payload, circular, kernel, engine, split, certify):
     """Solve one whole instance; returns ``(order, witness_json, parts)``.
 
-    This is serial ``solve_many``'s per-instance routine: the worker splits
-    the instance into components (when ``split`` says so), solves them in
-    order up to the first rejection and, with ``certify``, extracts that
-    component's witness re-indexed to the instance's columns — all in this
-    one task.  The label-level round trip keeps the result byte-identical
-    to serial, which runs the routine on the label-level ensemble.
+    Serial ``solve_many``'s per-instance routine (split, solve, certify —
+    all in this one task), run on the instance decoded from its payload.
     """
-    ensemble = IndexedEnsemble.from_packed_masks(payload).to_ensemble()
     order, parts, witness = _solve_instance(
-        ensemble, split, circular, kernel, engine, certify, span_prefix="serve"
+        IndexedEnsemble.from_packed_masks(payload),
+        split, circular, kernel, engine, certify, span_prefix="serve",
     )
     return (order, None if witness is None else witness.to_json(), parts)
 
@@ -458,7 +456,7 @@ class ServePool:
             )
         return self._submit_bundle(
             [(_K_SOLVE, payload)],
-            (circular, kernel, engine, "off", certify),
+            (circular, kernel, engine, "whole", certify),
             done_q=None,
             tag=None,
             single=True,
@@ -640,11 +638,9 @@ class ServePool:
         circular: bool = False,
         kernel: str = "indexed",
         engine: str | None = None,
-        split_components: bool = True,
         certify: bool = False,
         ordered: bool = False,
         chunksize: int | None = None,
-        parallel: int | None = None,
         trace: "Tracer | None" = None,
         cache=None,
         incremental: bool = False,
@@ -661,13 +657,12 @@ class ServePool:
         the pool's in-flight window.  Each instance is one task, solved
         whole by one worker — component split, component solves and witness
         extraction included — so a multi-component instance is not spread
-        over workers (that is ``parallel=``'s axis, not the pool's).
+        over workers (fan-out within one instance is
+        ``path_realization(parallel=N)``, not the pool's axis).
         ``chunksize`` controls how many instances share a segment; the
         default is the executor policy (``instances // (workers * 4)``) for
         sized inputs and ``1`` — lowest per-instance latency — for unsized
-        streams.  ``parallel`` (the
-        intra-instance fan-out of :mod:`repro.parallel`) is rejected:
-        serve workers are single-process by design.
+        streams.
 
         ``trace=`` must be passed explicitly to trace a stream: submission
         happens on the feeder thread, and a contextvar-installed ambient
@@ -696,13 +691,6 @@ class ServePool:
         session state untouched.  Delta mode is inherently ordered and
         mutually exclusive with ``cache=``.
         """
-        if parallel is not None:
-            raise ServeError(
-                "intra-instance parallel= fan-out is not available through "
-                "a ServePool: serve workers are single-process by design. "
-                "Drop pool= to use repro.parallel, or rely on the pool's "
-                "across-instance fan-out."
-            )
         if incremental:
             if cache is not None:
                 raise ServeError(
@@ -746,9 +734,7 @@ class ServePool:
         stream_trace = tracer if tracer.enabled else None
         # Cache misses solve the canonical instance whole: stored answers
         # are whole-instance.
-        split = (
-            "cache" if cache is not None else _split_mode(split_components, circular)
-        )
+        split = "cache" if cache is not None else _split_mode(circular)
         args = (circular, kernel, engine, split, certify)
 
         def _answer(index, instance, order, witness_json, parts=1) -> BatchResult:
@@ -990,10 +976,10 @@ class ServePool:
                         "a delta stream drives exactly one session; "
                         "open a second stream for a second session"
                     )
-                n = int(value)
-                if n < 1:
+                n = value
+                if type(n) is not int or n < 1:
                     raise IncrementalError(
-                        f"a session needs at least one atom, got {n}"
+                        f"a session needs a positive int atom count, got {n!r}"
                     )
                 session.num_atoms = n
                 flags = 0
@@ -1013,7 +999,7 @@ class ServePool:
                     )
                 column = tuple(value)
                 for atom in column:
-                    if not isinstance(atom, int) or not (
+                    if type(atom) is not int or not (
                         0 <= atom < session.num_atoms
                     ):
                         raise IncrementalError(
@@ -1045,19 +1031,16 @@ class ServePool:
         circular: bool = False,
         kernel: str = "indexed",
         engine: str | None = None,
-        split_components: bool = True,
         certify: bool = False,
         chunksize: int | None = None,
-        parallel: int | None = None,
         trace: "Tracer | None" = None,
         cache=None,
         incremental: bool = False,
     ) -> list[BatchResult]:
         """Ordered, :func:`repro.batch.solve_many`-compatible batch solve.
 
-        ``parallel`` is rejected (:class:`~repro.errors.ServeError`), as in
-        :meth:`solve_stream`; ``trace=``, ``cache=`` and ``incremental=``
-        are threaded through as there.
+        ``trace=``, ``cache=`` and ``incremental=`` are threaded through as
+        in :meth:`solve_stream`.
         """
         return list(
             self.solve_stream(
@@ -1065,11 +1048,9 @@ class ServePool:
                 circular=circular,
                 kernel=kernel,
                 engine=engine,
-                split_components=split_components,
                 certify=certify,
                 ordered=True,
                 chunksize=chunksize,
-                parallel=parallel,
                 trace=trace,
                 cache=cache,
                 incremental=incremental,
@@ -1101,22 +1082,16 @@ def _result(
     index, order, witness_json, num_atoms, num_columns, parts, split,
     circular, certify,
 ) -> BatchResult:
-    """One stream answer as a :class:`~repro.batch.BatchResult`."""
-    certificate = None
-    if certify:
+    """One stream answer, built as serial ``solve_many`` builds its own,
+    from the witness decoded off the JSON payload."""
+    witness = None
+    if certify and witness_json is not None:
         from ..certify.certificates import certificate_from_json
 
-        witness = None if witness_json is None else certificate_from_json(witness_json)
-        certificate = _certificate(order, witness, circular)
-    return BatchResult(
-        index=index,
-        order=None if order is None else list(order),
-        num_atoms=num_atoms,
-        num_columns=num_columns,
-        parts=parts,
-        status="realized" if order is not None else "rejected",
-        certificate=certificate,
-        split=split,
+        witness = certificate_from_json(witness_json)
+    return _batch_result(
+        index, order, witness, num_atoms, num_columns, parts, split,
+        circular, certify,
     )
 
 

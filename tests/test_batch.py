@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro import Ensemble, solve_many
-from repro.batch import BatchResult, _linear_component_ensembles
+from repro import Ensemble, path_realization, solve_many
+from repro.batch import BatchResult
 from repro.ensemble import verify_circular_layout, verify_linear_layout
 from repro.generators import (
     non_c1p_ensemble,
@@ -68,12 +68,6 @@ class TestSolveMany:
         (result,) = solve_many([instance])
         assert result.parts >= 2
         assert not result.ok and result.order is None
-
-    def test_split_components_can_be_disabled(self):
-        instance = _disconnected_instance([4, 5])
-        (result,) = solve_many([instance], split_components=False)
-        assert result.parts == 1
-        assert result.ok and verify_linear_layout(instance, result.order)
 
     def test_process_pool_matches_serial(self, rng):
         import os
@@ -147,18 +141,26 @@ class TestComponentSplitting:
             atoms,
             instance.columns + (frozenset(atoms), frozenset({atoms[0]})),
         )
-        subs = _linear_component_ensembles(glued)
-        assert len(subs) == 2
+        (result,) = solve_many([glued])
+        assert result.parts == 2
+        assert result.ok and verify_linear_layout(glued, result.order)
+        # each block's atoms stay together, in component order
+        assert {a // 1000 for a in result.order[:8]} == {0}
+        assert {a // 1000 for a in result.order[8:]} == {1}
 
     def test_connected_instance_is_not_split(self, rng):
         inst = random_c1p_ensemble(10, 8, rng).ensemble
-        assert len(_linear_component_ensembles(inst)) == 1
+        assert inst.is_connected()
+        (result,) = solve_many([inst])
+        assert result.parts == 1
+        assert result.order == path_realization(inst)
 
     def test_components_cover_all_atoms(self):
         instance = _disconnected_instance([8, 9, 10])
-        subs = _linear_component_ensembles(instance)
-        covered = sorted(a for sub in subs for a in sub.atoms)
-        assert covered == sorted(instance.atoms)
+        (result,) = solve_many([instance])
+        assert result.parts >= 3
+        assert sorted(result.order) == sorted(instance.atoms)
+        assert verify_linear_layout(instance, result.order)
 
 
 class TestCertifyPooling:
@@ -225,6 +227,21 @@ class TestEngineSelection:
         fleet = [random_c1p_ensemble(8, 5, rng).ensemble]
         with pytest.raises(ValueError):
             solve_many(fleet, engine="hopcroft")
+
+    @pytest.mark.parametrize(
+        "flags", [{"kernel": "bogus"}, {"engine": "hopcroft"}]
+    )
+    def test_unknown_flag_rejected_before_any_solve(self, rng, monkeypatch, flags):
+        import repro.batch as batch_module
+
+        calls = []
+        monkeypatch.setattr(
+            batch_module, "_solve_part", lambda *args: calls.append(args)
+        )
+        fleet = [random_c1p_ensemble(8, 5, rng).ensemble for _ in range(2)]
+        with pytest.raises(ValueError, match="unknown"):
+            solve_many(fleet, **flags)
+        assert calls == []
 
 
 class TestComponentCertification:
@@ -316,15 +333,12 @@ class TestComponentCertification:
             kernel="reference",
             engine="splitpair",
             certify=True,
-            split_components=False,
         )
         assert pool.kwargs == {
             "circular": True,
             "kernel": "reference",
             "engine": "splitpair",
             "certify": True,
-            "split_components": False,
-            "parallel": None,
             "trace": None,
             "cache": None,
             "incremental": False,
@@ -351,18 +365,6 @@ class TestCircularSplitSkip:
         assert result.split == "components"
         assert result.parts >= 3
 
-    def test_split_off_is_recorded(self):
-        (result,) = solve_many(
-            [self._circular_disconnected()], split_components=False
-        )
-        assert result.split == "off"
-        (circ,) = solve_many(
-            [self._circular_disconnected()],
-            circular=True,
-            split_components=False,
-        )
-        assert circ.split == "off"
-
     def test_pool_matches_serial_on_circular_skip(self):
         import json
 
@@ -380,38 +382,3 @@ class TestCircularSplitSkip:
 
         assert batch_split_savings(24, 15, 60, components=3, circular=True) == 0.0
         assert batch_split_savings(24, 15, 60, components=3) > 0.0
-
-
-class TestIntraInstanceParallel:
-    def test_parallel_batch_matches_serial(self):
-        fleet = [_disconnected_instance([s, s + 1]) for s in range(20, 26, 2)]
-        fleet.append(non_c1p_ensemble(8, 6, random.Random(9)).ensemble)
-        serial = solve_many(fleet)
-        threaded = solve_many(fleet, parallel=2)
-        assert [r.order for r in threaded] == [r.order for r in serial]
-        assert [r.summary() for r in threaded] == [r.summary() for r in serial]
-
-    def test_parallel_circular_matches_serial(self):
-        fleet = [_disconnected_instance([s]) for s in (31, 32)]
-        serial = solve_many(fleet, circular=True)
-        threaded = solve_many(fleet, circular=True, parallel=2)
-        assert [r.order for r in threaded] == [r.order for r in serial]
-
-    def test_parallel_and_processes_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            solve_many([], parallel=2, processes=2)
-
-    def test_parallel_validated(self):
-        with pytest.raises(ValueError):
-            solve_many([], parallel=0)
-        with pytest.raises(ValueError):
-            solve_many([], parallel=True)
-
-    def test_pool_rejects_parallel(self):
-        from repro.errors import ServeError
-        from repro.serve import ServePool
-
-        instance = _disconnected_instance([41])
-        with ServePool(1) as pool:
-            with pytest.raises(ServeError, match="single-process"):
-                solve_many([instance], pool=pool, parallel=2)

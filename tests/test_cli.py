@@ -50,6 +50,79 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and "0 or 1" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[[true, false], [1, 0]]", "0 or 1"),
+            ("[[1.0, 0], [1, 1]]", "0 or 1"),
+        ],
+    )
+    def test_serve_rejects_non_int_entries(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        assert main(["serve", str(path), "--processes", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = captured.err.strip().splitlines()
+        assert error.startswith("repro: error: line 1") and message in error
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"op": "open", "n": true}', '{"op": "add", "column": [0, true]}'],
+    )
+    def test_delta_parser_rejects_non_int_values(self, line):
+        from repro.cli import parse_delta_line
+
+        with pytest.raises(InvalidEnsembleError, match="line 4"):
+            parse_delta_line(line, 4)
+
+
+class TestServeIncremental:
+    """``repro serve --incremental``: JSON-line deltas through one session."""
+
+    def _run(self, tmp_path, deltas):
+        import json
+
+        path = tmp_path / "deltas.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in deltas))
+        return main(["serve", str(path), "--incremental", "--processes", "1", "--quiet"])
+
+    def test_valid_session(self, tmp_path, capsys):
+        import json
+
+        deltas = [
+            {"op": "open", "n": 3},
+            {"op": "add", "column": [0, 1]},
+            {"op": "add", "column": [1, 2]},
+            {"op": "remove", "column": [0, 1]},
+        ]
+        assert self._run(tmp_path, deltas) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["split"] for r in records] == ["delta"] * 4
+        assert [r["num_columns"] for r in records] == [0, 1, 2, 1]
+        assert all(r["ok"] for r in records)
+        order = records[2]["order"]
+        assert abs(order.index(0) - order.index(1)) == 1
+        assert abs(order.index(1) - order.index(2)) == 1
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "deltas, message",
+        [
+            ([{"op": "add", "column": [0, 1]}], "must start with"),
+            ([{"op": "open", "n": 3}, {"op": "open", "n": 3}], "exactly one session"),
+            (
+                [{"op": "open", "n": 3}, {"op": "add", "column": [0, 7]}],
+                "outside the session",
+            ),
+        ],
+    )
+    def test_malformed_stream_exits_2(self, tmp_path, capsys, deltas, message):
+        assert self._run(tmp_path, deltas) == 2
+        (error,) = capsys.readouterr().err.strip().splitlines()
+        assert error.startswith("repro: error: ") and message in error
+
 
 class TestMain:
     def test_demo_runs_and_reports_an_order(self, capsys):

@@ -235,3 +235,21 @@ def test_delta_stream_rejects_malformed_streams():
                     [("grow", 3)], incremental=True
                 )
             )
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [
+        [("open", True)],
+        [("open", 3.0)],
+        [("open", 3), ("add", (0, True))],
+        [("open", 3), ("add", (0, 1.0))],
+    ],
+)
+def test_delta_stream_requires_exact_int_atoms(deltas):
+    """``True`` is an ``int`` and ``1.0 == 1``; neither names an atom."""
+    from repro.serve import ServePool
+
+    with ServePool(1) as pool:
+        with pytest.raises(IncrementalError, match="int|outside"):
+            list(pool.solve_stream(deltas, incremental=True))

@@ -93,13 +93,13 @@ class TestFirstRejectionDecides:
         import repro.batch as batch_module
 
         calls = []
-        real = batch_module.path_realization
+        real = batch_module._solve_part
 
-        def spy(ensemble, **kwargs):
-            calls.append(ensemble)
-            return real(ensemble, **kwargs)
+        def spy(part, *args):
+            calls.append(part)
+            return real(part, *args)
 
-        monkeypatch.setattr(batch_module, "path_realization", spy)
+        monkeypatch.setattr(batch_module, "_solve_part", spy)
         instance = _glued([_bad(2), _good(6), _good(5)])
         (result,) = solve_many([instance])
         assert not result.ok and result.parts == 3

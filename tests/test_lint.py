@@ -286,9 +286,9 @@ class TestMutationAcceptance:
         line = _mutate(
             root,
             "src/repro/batch.py",
-            "            split_components=split_components,\n"
+            "            engine=engine,\n"
             "            certify=certify,\n",
-            "            split_components=split_components,\n",
+            "            engine=engine,\n",
         )
         report = _lint(root)
         assert not report.ok
