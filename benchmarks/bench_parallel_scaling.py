@@ -17,9 +17,10 @@ worker-count sweep then shows how the fan-out schedule behaves on top of
 that (see DESIGN.md for the measured shape).
 
 Gates: ``--require-speedup X`` fails unless the *highest* worker count in
-the sweep reaches ``X ×`` the serial kernel (acceptance bar: 1.8 at 4
-workers on the default 10^5-atom ensemble; CI smoke: 1.0 at 2 workers on
-a 5000-atom shrink — the parallel path must never lose).
+the sweep fans out (``execution == "parallel"``) and reaches ``X ×`` the
+serial kernel (acceptance bar: 1.8 at 4 workers on the default 10^5-atom
+ensemble; CI smoke: 1.0 at 2 workers on a 5000-atom shrink — the parallel
+path must never lose, and a serial fallback cannot pass at ~1.0x).
 
 Usage
 -----
@@ -160,7 +161,13 @@ def main(argv=None) -> int:
         print(f"  recorded -> {args.json}")
 
     top = record["sweep"][-1]
-    if args.require_speedup is not None and top["speedup"] < args.require_speedup:
+    if args.require_speedup is None:
+        return 0
+    if top["execution"] != "parallel":
+        print(f"FAIL: the {top['workers']}-worker run did not fan out "
+              f"(execution={top['execution']!r})", file=sys.stderr)
+        return 1
+    if top["speedup"] < args.require_speedup:
         print(f"FAIL: {top['workers']}-worker speedup {top['speedup']:.2f}x "
               f"< required {args.require_speedup}x", file=sys.stderr)
         return 1

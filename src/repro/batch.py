@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Hashable, Iterable
 
 from .core import cycle_realization, path_realization
-from .core.indexed import IndexedEnsemble, _components
+from .core.indexed import IndexedEnsemble, _component_ensemble, _split
 from .core.solver import _check_kernel
 from .ensemble import Ensemble
 from .obs.trace import NULL_TRACER, current_tracer, use_tracer
@@ -135,26 +135,31 @@ def _linear_parts(instance: IndexedEnsemble) -> list[tuple[IndexedEnsemble, list
     Columns of size <= 1, full columns and later duplicates are dropped
     (the kernel's own ``effective_masks``): they are consecutive in every
     layout, and keeping them would glue unrelated components together.
-    Each connected component of the rest becomes one part, re-densified
-    over its own columns, so concatenating the part layouts in component
-    order realizes the instance.  A part comes with the input index of
-    each of its columns, which re-indexes a witness found on the part to
-    the instance's columns.  A connected instance is one part, the whole
-    instance, with ``None`` for the indices.
+    Each connected component of the rest (the kernel's top-level split,
+    ``core.indexed._split``) becomes one part, re-densified over its own
+    columns, so concatenating the part layouts in component order realizes
+    the instance; a connected instance is one part over its effective
+    columns.  A part comes with the input index of each of its columns,
+    the first copy of a duplicate, which re-indexes a witness found on the
+    part to the instance's columns.  An instance without atoms is one part,
+    itself, with ``None`` for the indices.
     """
-    effective = instance.effective_masks()
-    components = _components(instance.universe_mask, effective)
-    if len(components) <= 1:
+    if not instance.num_atoms:
         return [(instance, None)]
     first: dict[int, int] = {}
     for i, mask in enumerate(instance.masks):
         first.setdefault(mask, i)
+    effective = instance.effective_masks()
     parts = []
-    for comp in components:
-        masks = [mask for mask in effective if mask & comp]
+    for members, cols in _split(instance.num_atoms, effective):
+        masks = [effective[j] for j in cols]
         rows = [first[mask] for mask in masks]
-        names = [instance.column_names[i] for i in rows]
-        part = IndexedEnsemble(instance.atoms, masks, names).restrict(comp)
+        part = _component_ensemble(
+            members,
+            masks,
+            [instance.atoms[i] for i in members],
+            [instance.column_names[i] for i in rows],
+        )
         parts.append((part, rows))
     return parts
 

@@ -505,6 +505,7 @@ _DEMO_REJECT = """\
 """
 
 
+@_reports_bad_input
 def trace_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro trace``."""
     from .obs import Tracer, calibrate, use_tracer
@@ -776,6 +777,8 @@ def serve_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.processes < 0:
         parser.error(f"--processes must be >= 0, got {args.processes}")
+    if args.max_inflight is not None and args.max_inflight < 1:
+        parser.error(f"--max-inflight must be >= 1, got {args.max_inflight}")
     if args.cache < 0:
         parser.error(f"--cache must be >= 0, got {args.cache}")
     if args.incremental and args.cache:
@@ -1020,7 +1023,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 @_reports_bad_input
 def _solve_main(argv: Sequence[str]) -> int:
     """The plain solve mode: ``python -m repro [matrix]``."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.parallel is not None and args.parallel < 1:
+        parser.error(f"--parallel must be >= 1, got {args.parallel}")
     if args.demo:
         text = _DEMO
     elif args.matrix in (None, "-"):

@@ -32,7 +32,7 @@ guaranteed correct, ``None`` means the (sub-)ensemble lacks the property.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from ..ensemble import Ensemble
 from ..errors import InvalidEnsembleError
@@ -325,6 +325,93 @@ def _components(avail: int, columns: Sequence[int]) -> list[int]:
     return order
 
 
+def _normalised_masks(avail: int, columns: Sequence[int]) -> list[int]:
+    """The cycle kernel's columns of ``avail``: each complemented to at most
+    half the atoms (complementing keeps circular contiguity), trivial ones
+    and duplicates dropped."""
+    n = avail.bit_count()
+    seen: set[int] = set()
+    out: list[int] = []
+    for c in columns:
+        if 2 * c.bit_count() > n:
+            c = avail ^ c
+        if c.bit_count() <= 1 or c in seen:
+            continue
+        seen.add(c)
+        out.append(c)
+    return out
+
+
+def _split(n: int, columns: Sequence[int]) -> list[tuple[list[int], list[int]]]:
+    """Step 1's component split of the atoms ``0 .. n-1`` under a top-level
+    column list (the effective or the normalised masks).
+
+    One ``(members, rows)`` pair per component, in the kernel's order
+    (:func:`_components`: minimum atom first): ``members`` are its atoms
+    ascending, ``rows`` the indices of its columns in ``columns``, in list
+    order.  An atom no column covers is a singleton component without rows.
+    Components stay member lists, never atom masks, and no step scans
+    components × columns: a sparse instance has a singleton component per
+    uncovered atom (~29k at 10^5 atoms), and that many full-width masks
+    cost more than the whole solve.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for mask in columns:
+        ids = mask_to_indices(mask)
+        if not ids:
+            continue
+        r0 = find(ids[0])
+        for other in ids[1:]:
+            ro = find(other)
+            if ro != r0:
+                parent[ro] = r0
+    slot: dict[int, int] = {}
+    parts: list[tuple[list[int], list[int]]] = []
+    for atom in range(n):
+        root = find(atom)
+        if root not in slot:
+            slot[root] = len(parts)
+            parts.append(([], []))
+        parts[slot[root]][0].append(atom)
+    for j, mask in enumerate(columns):
+        if mask:
+            parts[slot[find((mask & -mask).bit_length() - 1)]][1].append(j)
+    return parts
+
+
+def _component_ensemble(
+    members: Sequence[int],
+    masks: Iterable[int],
+    atoms: Sequence[Atom] | None = None,
+    names: Sequence[str] | None = None,
+) -> "IndexedEnsemble":
+    """One component of :func:`_split`, re-densified into its own ensemble.
+
+    Atom ``members[k]`` (ascending) becomes index ``k``: a strictly
+    increasing remap, under which every mask comparison the kernel makes is
+    invariant, so the component's layout is the one the kernel builds in
+    place.  ``masks`` are the component's columns, ``atoms`` label the new
+    atoms (by default the old indices, so a solve answers in them) and
+    ``names`` the columns.
+    """
+    if members and members[-1] == len(members) - 1:
+        dense = list(masks)  # members are 0 .. k-1: nothing to remap
+    else:
+        remap = {old: new for new, old in enumerate(members)}
+        dense = [
+            mask_from_indices(remap[i] for i in mask_to_indices(mask))
+            for mask in masks
+        ]
+    return IndexedEnsemble(members if atoms is None else atoms, dense, names)
+
+
 class _KernelContext:
     """Mutable per-solve state: stats, the decomposition engine selection and
     a fresh-atom index allocator."""
@@ -454,17 +541,7 @@ def _cycle_rec(
     if n <= 3:
         return mask_to_indices(avail)
 
-    # Normalise every column to at most half the atoms (complementing keeps
-    # circular contiguity), drop trivial columns and duplicates.
-    normalised: list[int] = []
-    seen: set[int] = set()
-    for c in columns:
-        if 2 * c.bit_count() > n:
-            c = avail ^ c
-        if c.bit_count() <= 1 or c in seen:
-            continue
-        seen.add(c)
-        normalised.append(c)
+    normalised = _normalised_masks(avail, columns)
     if not normalised:
         return mask_to_indices(avail)
 

@@ -106,9 +106,9 @@ class ParallelError(ReproError):
 
     Examples: running a slice task on an executor that has been closed or
     has no published instance segment, a slice task abandoned after
-    repeatedly crashing its worker process, or a merge-ladder verification
-    failure (which indicates a bug, not a bad input — the serial kernel
-    verifies the same invariant).
+    repeatedly crashing its worker process, or a failed verification of
+    the concatenated component layouts (which indicates a bug, not a bad
+    input — the serial kernel verifies the same invariant).
     """
 
 

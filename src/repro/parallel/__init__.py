@@ -5,12 +5,14 @@ whole solve) and :mod:`repro.pram` *simulates* the paper's PRAM schedule,
 this package executes one instance's top-level divide with real worker
 processes operating on slices of a single shared-memory segment:
 
-* :class:`SliceExecutor` — spawn-once slice workers on the fleet core
-  ServePool also runs on (:mod:`repro.serve.fleet`: EOF crash detection,
-  respawn, bounded re-dispatch);
-* :class:`ParallelSolver` — the orchestration: pack once, parallel
-  connected components, per-component sub-solves, a verified merge
-  ladder, with cost-model cutoffs and byte-for-byte serial parity.
+* :class:`SliceExecutor` — spawn-once workers on the fleet core ServePool
+  also runs on (:mod:`repro.serve.fleet`: EOF crash detection, respawn,
+  bounded re-dispatch), with one op: solve one component of the published
+  instance;
+* :class:`ParallelSolver` — a thin scatter layer: the kernel's own
+  component split in the parent (``core.indexed._split``), one cost-model
+  check, one wave of component solves, concatenation in component order
+  and one verification, with byte-for-byte serial parity.
 
 Entry points thread through as ``path_realization(..., parallel=N)``,
 ``cycle_realization`` and ``repro solve --parallel N``.  See DESIGN.md,

@@ -255,31 +255,29 @@ def parallel_fanout_worthwhile(
     p: int,
     *,
     workers: int,
-    components: int | None = None,
+    components: int,
     cold: bool = True,
 ) -> bool:
     """Whether fanning one instance's components across real workers pays.
 
+    :class:`repro.parallel.ParallelSolver` asks once per solve, after its
+    parent-side split has counted the ``components`` of the top-level
+    column list (``m`` columns, ``p`` ones over ``n`` atoms) and before it
+    spawns or packs anything; ``cold`` is true while it has no workers.
     The saving is the fraction of the sequential solve charge
     (``p·log p``, the paper's sequential bound with constants one) that
     disappears when ``min(workers, components)`` sub-solves run
     concurrently; the cost is the pool startup charge (``0`` once warm)
     plus one wire-format publication of the instance, at one work unit
-    per 8-byte word.  ``components=None`` means the component count is
-    not yet known (the pre-pack check): the fan-out is then bounded by
-    ``workers`` alone, and the caller re-checks once the parallel
-    component pass has counted them.
+    per 8-byte word.
 
     This is deliberately conservative — below the cutoff the serial
     kernel runs unchanged, so a false negative costs only the speedup,
     never correctness.
     """
-    if workers < 2:
+    if workers < 2 or components < 2:
         return False
-    if components is not None and components < 2:
-        return False
-    fanout = min(workers, components) if components is not None else workers
-    saved = sequential_solve_work(p) * (1.0 - 1.0 / fanout)
+    saved = sequential_solve_work(p) * (1.0 - 1.0 / min(workers, components))
     overhead = pool_startup_work(workers, cold=cold) + (
         wire_dispatch_bytes(n, m) + 7
     ) // 8

@@ -2,7 +2,8 @@
 
 Both process fleets of this package run on this module:
 :class:`repro.serve.ServePool` ships whole instances to its workers, and
-:class:`repro.parallel.SliceExecutor` ships slices of one instance.  The
+:class:`repro.parallel.SliceExecutor` ships one component solve of one
+published instance per task.  The
 fleet owns what a spawn-once pool needs and nothing either client serves:
 
 * **spawn** — one process per slot, with a private task queue and a

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.batch import solve_many
 from repro.certify.checker import check_ensemble
@@ -77,7 +77,19 @@ def test_split_matches_the_kernels_own_step_one(instance):
     assert result.split == "components"
 
 
+#: a connected rejection whose obstruction later copies can name too:
+#: rows 6, 5, 7 hold the sets of rows 2, 3, 7
+_CONNECTED_WITH_COPIES = Ensemble(
+    tuple(range(4)),
+    tuple(
+        frozenset(c)
+        for c in [[0, 2], [1, 2, 3], [0, 1], [1, 3], [0, 1], [1, 3], [0, 1], [0, 3]]
+    ),
+)
+
+
 @given(instances)
+@example(_CONNECTED_WITH_COPIES)
 def test_certified_witness_checks_against_the_input(instance):
     (result,) = solve_many([instance], certify=True)
     assert result.ok == (path_realization(instance) is not None)
@@ -87,12 +99,10 @@ def test_certified_witness_checks_against_the_input(instance):
         return
     witness = result.certificate
     assert check_ensemble(instance, witness)
-    if result.parts > 1:
-        # Re-indexed from a part: every row names the first input column
-        # with its atom set.  (A connected instance is certified whole, so
-        # its witness may name any copy of a duplicate.)
-        for row in witness.row_indices:
-            assert instance.columns.index(instance.columns[row]) == row
+    # Re-indexed from a part, connected or not: every row names the first
+    # input column with its atom set.
+    for row in witness.row_indices:
+        assert instance.columns.index(instance.columns[row]) == row
 
 
 def test_warm_pool_stream_matches_serial():

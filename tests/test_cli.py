@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.cli import main, parse_matrix_text
+from repro.cli import main, parse_matrix_text, trace_main
 from repro.errors import InvalidEnsembleError
+from repro.obs.export import read_trace_jsonl
 
 
 class TestParsing:
@@ -33,7 +36,9 @@ class TestParsing:
 class TestBadInput:
     """Unusable input exits 2 with one error line, never a traceback."""
 
-    @pytest.mark.parametrize("mode", [[], ["batch"], ["certify"], ["serve"]])
+    @pytest.mark.parametrize(
+        "mode", [[], ["batch"], ["certify"], ["serve"], ["trace"]]
+    )
     def test_missing_file_exits_2(self, tmp_path, capsys, mode):
         missing = str(tmp_path / "absent.csv")
         assert main(mode + [missing]) == 2
@@ -42,7 +47,7 @@ class TestBadInput:
         (line,) = captured.err.strip().splitlines()
         assert line.startswith("repro: error: ") and "absent.csv" in line
 
-    @pytest.mark.parametrize("mode", [[], ["batch"], ["certify"]])
+    @pytest.mark.parametrize("mode", [[], ["batch"], ["certify"], ["trace"]])
     def test_malformed_matrix_exits_2(self, tmp_path, capsys, mode):
         path = tmp_path / "m.txt"
         path.write_text("1 2\n")
@@ -67,6 +72,19 @@ class TestBadInput:
         assert error.startswith("repro: error: line 1") and message in error
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--demo", "--parallel", "0"], "--parallel must be >= 1"),
+            (["serve", "-", "--max-inflight", "0"], "--max-inflight must be >= 1"),
+        ],
+    )
+    def test_worker_counts_below_one_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "line",
         ['{"op": "open", "n": true}', '{"op": "add", "column": [0, true]}'],
     )
@@ -75,6 +93,27 @@ class TestBadInput:
 
         with pytest.raises(InvalidEnsembleError, match="line 4"):
             parse_delta_line(line, 4)
+
+
+class TestTrace:
+    def test_demo_writes_artifacts_with_worker_spans(self, tmp_path, capsys):
+        paths = {flag: tmp_path / f"{flag}.json" for flag in (
+            "out", "chrome", "metrics", "calibration")}
+        argv = ["--demo", "--quiet"]
+        for flag, path in paths.items():
+            argv += [f"--{flag}", str(path)]
+        assert trace_main(argv) == 0
+        assert capsys.readouterr().out.split() == [str(p) for p in paths.values()]
+        assert all(path.stat().st_size > 0 for path in paths.values())
+        worker_spans = [
+            record
+            for record in read_trace_jsonl(str(paths["out"]))
+            if record["name"] in ("worker.slice.solve", "worker.serve.task")
+        ]
+        assert {r["name"] for r in worker_spans} == {
+            "worker.slice.solve", "worker.serve.task"}
+        pids = {r["pid"] for r in worker_spans}
+        assert os.getpid() not in pids and len(pids) >= 2
 
 
 class TestServeIncremental:

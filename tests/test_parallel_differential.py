@@ -6,8 +6,9 @@ witnesses, certificates — must be byte-for-byte identical to the serial
 kernel on the same instance, across kernels, engines and circular mode.
 The hypothesis sweep runs with ``fanout="always"`` so the cost model cannot
 quietly route examples back to the serial kernel: every multi-component
-example exercises the packed segment, the sliced component pass, real
-worker sub-solves and the verified merge ladder.  The CI job
+example exercises the parent-side split, the packed segment, one wave of
+real worker sub-solves and the parent's final verification; a property
+ties that split to the kernel's own ``_components``.  The CI job
 (``parallel-differential``) replays it at 500 fixed-seed examples via
 ``HYPOTHESIS_PROFILE=parallel-ci``.
 
@@ -26,6 +27,7 @@ import os
 import random
 import signal
 import time
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -41,6 +43,13 @@ from repro.core import (
     KERNELS,
     cycle_realization,
     path_realization,
+)
+from repro.core.bitset import mask_to_indices
+from repro.core.indexed import (
+    _components,
+    _effective_masks,
+    _normalised_masks,
+    _split,
 )
 from repro.core.instrument import SolverStats
 from repro.errors import ParallelError
@@ -97,6 +106,20 @@ def _canon(payload) -> str:
     return json.dumps(payload, sort_keys=True, default=str)
 
 
+@st.composite
+def column_lists(draw) -> tuple[int, list[int]]:
+    """``(n, masks)``: sparse masks over ``n`` atoms (so some atoms stay
+    uncovered), full columns, and repeats of earlier draws."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(
+        lambda atoms: sum(1 << a for a in atoms)
+    )
+    masks = draw(st.lists(st.one_of(sparse, st.just((1 << n) - 1)), max_size=10))
+    for mask in draw(st.lists(st.sampled_from(masks), max_size=3)) if masks else []:
+        masks.insert(draw(st.integers(0, len(masks))), mask)
+    return n, masks
+
+
 class TestDifferentialSweep:
     @given(params=blocks, grid=GRID, circular=st.booleans())
     @example(  # the two kernels lay this block out differently
@@ -147,7 +170,42 @@ class TestDifferentialSweep:
         assert serial_solve(instance, parallel=2) == serial_solve(instance)
 
 
+class TestSplit:
+    @given(column_lists())
+    def test_split_is_the_kernels_step_one(self, drawn):
+        # The parent-side split must be the kernel's own _components on
+        # every top-level column list: the same components in the same
+        # order, each with the columns the kernel hands its sub-solve.
+        n, raw = drawn
+        universe = (1 << n) - 1
+        for columns in (
+            raw,
+            _effective_masks(universe, raw),
+            _normalised_masks(universe, raw),
+        ):
+            split = _split(n, columns)
+            components = _components(universe, columns)
+            assert [members for members, _ in split] == [
+                mask_to_indices(comp) for comp in components
+            ]
+            for (_, rows), comp in zip(split, components):
+                assert rows == [j for j, c in enumerate(columns) if c & comp]
+
+
 class TestStatsContract:
+    def test_connected_instance_spawns_nothing(self):
+        # The split runs in the parent before anything is spawned or
+        # packed: one component means a serial solve, even when forced.
+        chain = Ensemble(
+            tuple(range(9)), tuple(frozenset({i, i + 1}) for i in range(8))
+        )
+        stats = SolverStats()
+        with ParallelSolver(2, fanout="always") as solver:
+            assert solver.solve_path(chain, stats) == path_realization(chain)
+            assert solver.solve_cycle(chain) == cycle_realization(chain)
+            assert solver.executor is None
+        assert stats.execution == "sequential"
+
     def test_real_fanout_reports_measured_execution(self, warm_solver):
         instance = _build_instance(
             [
@@ -186,11 +244,21 @@ class TestStatsContract:
             cycle_realization(instance, parallel=True)
 
 
-def _packed_chain(n: int = 64) -> tuple[bytes, list[tuple[str, tuple]]]:
-    """A packed path instance plus one full-range component task."""
+def _packed_chain(n: int = 64) -> tuple[bytes, list[tuple]]:
+    """A packed path instance plus one solve task over all of it."""
     columns = [(1 << i) | (1 << (i + 1)) for i in range(0, n - 1, 2)]
     payload = wire.pack_ensemble(range(n), columns, None, with_labels=False)
-    return payload, [("components", (0, len(columns)))]
+    spec = (
+        array("I", range(n)).tobytes(),
+        array("I", range(len(columns))).tobytes(),
+        None,
+    )
+    return payload, [spec]
+
+
+def _layouts(outcomes: list[tuple]) -> list[bytes]:
+    """The layout bytes of solve outcomes (their timings always differ)."""
+    return [outcome[0] for outcome in outcomes]
 
 
 class TestCrashRecovery:
@@ -207,7 +275,7 @@ class TestCrashRecovery:
             deadline = time.monotonic() + 10
             while executor.alive_workers and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert executor.run(tasks) == baseline
+            assert _layouts(executor.run(tasks)) == _layouts(baseline)
             assert executor.respawn_count >= 1
             assert executor.alive_workers == 1
             executor.release_instance()
@@ -235,7 +303,7 @@ class TestCrashRecovery:
         payload, tasks = _packed_chain()
         with SliceExecutor(1, max_task_retries=0) as executor:
             executor.set_instance(payload)
-            assert executor.run(tasks)  # warm, healthy baseline
+            assert _layouts(executor.run(tasks))[0]  # warm, healthy baseline
             os.kill(executor.worker_pids[0], signal.SIGKILL)
             deadline = time.monotonic() + 10
             while executor.alive_workers and time.monotonic() < deadline:
@@ -268,7 +336,7 @@ class TestCrashRecovery:
     def test_run_without_instance_rejected(self):
         with SliceExecutor(1) as executor:
             with pytest.raises(ParallelError, match="no instance"):
-                executor.run([("components", (0, 1))])
+                executor.run(_packed_chain()[1])
 
     def test_closed_solver_rejected(self):
         solver = ParallelSolver(2, fanout="always")
@@ -281,3 +349,24 @@ class TestCrashRecovery:
         )
         with pytest.raises(ParallelError):
             solver.solve_path(instance)
+
+    def test_wrong_worker_layout_fails_the_final_verification(self, monkeypatch):
+        # The parent checks the concatenated layout once: a worker answer
+        # that loses an atom must raise, never be returned.
+        run = SliceExecutor.run
+
+        def lossy(self, specs):
+            outcomes = run(self, specs)
+            layout, *rest = outcomes[0]
+            return [(layout[:-4], *rest)] + outcomes[1:]
+
+        monkeypatch.setattr(SliceExecutor, "run", lossy)
+        instance = _build_instance(
+            [
+                {"atoms": 9, "cols": 5, "bad": False, "seed": 11},
+                {"atoms": 8, "cols": 4, "bad": False, "seed": 12},
+            ]
+        )
+        with ParallelSolver(2, fanout="always") as solver:
+            with pytest.raises(ParallelError, match="verification failed"):
+                solver.solve_path(instance)
