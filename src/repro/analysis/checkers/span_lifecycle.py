@@ -11,334 +11,30 @@ the crash-stitching machinery of the executors exists precisely so that
 even a SIGKILLed worker's spans close as ``"aborted"`` rather than
 dangle.
 
-What the checker enforces, per function that acquires a raw span
-(calls ``*.begin(...)``):
-
-* the acquisition must be **secured**: assigned inside (or immediately
-  followed by) a ``try`` whose ``finally``/handlers close it, or its
-  ownership must move out (returned, passed bare into a call, stored
-  on an object attribute — the executors' ``entry.span = ...`` idiom);
-* the statements **between** acquisition and the securing point must
-  not contain calls — a call can raise, and nothing would close the
-  span (the same "risky gap" logic as ``shm-lifecycle``, for the same
-  reason);
-* a module that stores spans onto attributes must somewhere close an
-  attribute-held span (``entry.span.end()``,
-  ``inflight.span.abort()``) — deleting the last such call site is
-  flagged even though the store and the close live in different
-  functions.
-
-Known approximations: aliasing a span to a second name counts as an
-ownership move, and a span smuggled through a container is not
-tracked.  Both err on the quiet side; the crash-stitching tests pin
-the runtime behaviour.
+The path analysis is the shared lifecycle engine
+(:mod:`~repro.analysis.checkers.lifecycle`), run on every
+``*.begin(...)`` call: the span must be closed under ``try``, or handed
+off (returned, passed bare into a call, or stored on an attribute — the
+executors' ``entry.span = ...`` idiom, which obliges the module to close
+an attribute-held span somewhere, e.g. ``inflight.span.abort()``).
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from typing import Iterator
 
-from ..core import Finding, ModuleInfo, Project, terminal_name
-
-RULE = "span-lifecycle"
-
-#: the raw-span acquirer: ``tracer.begin(...)`` / ``self.begin(...)``.
-_ACQUIRER = "begin"
-#: attribute methods that close a span.
-_RELEASE_ATTRS = frozenset({"end", "abort"})
-#: free functions whose name signals they close a span passed to them
-#: (word-anchored: ``append`` must not read as an ``end``).
-_RELEASER_NAME = re.compile(r"(?:^|_)(?:end|abort|close)", re.IGNORECASE)
-#: attribute names that plausibly hold a span.
-_SPANISH = re.compile(r"span", re.IGNORECASE)
+from .lifecycle import LifecycleChecker
 
 
-def _is_release_of(call: ast.Call, var: str) -> bool:
-    """True when ``call`` closes the span bound to ``var``."""
-    func = call.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in _RELEASE_ATTRS
-        and isinstance(func.value, ast.Name)
-        and func.value.id == var
-    ):
-        return True
-    name = terminal_name(func)
-    if name and _RELEASER_NAME.search(name):
-        return any(
-            isinstance(arg, ast.Name) and arg.id == var for arg in call.args
-        )
-    return False
-
-
-def _contains_release(node: ast.AST, var: str) -> bool:
-    return any(
-        isinstance(sub, ast.Call) and _is_release_of(sub, var)
-        for sub in ast.walk(node)
-    )
-
-
-def _try_protects(node: ast.stmt, var: str) -> bool:
-    """``node`` is a try statement whose finally/handlers close ``var``."""
-    if not isinstance(node, ast.Try):
-        return False
-    if any(_contains_release(stmt, var) for stmt in node.finalbody):
-        return True
-    return any(
-        _contains_release(stmt, var)
-        for handler in node.handlers
-        for stmt in handler.body
-    )
-
-
-def _contains_call(node: ast.AST) -> bool:
-    return any(isinstance(sub, ast.Call) for sub in ast.walk(node))
-
-
-class _Escape:
-    """How a bare span name leaves the acquiring scope."""
-
-    def __init__(self, kind: str, node: ast.AST) -> None:
-        self.kind = kind  # "return" | "yield" | "call" | "store" | "alias"
-        self.node = node
-
-
-def _bare_name_escape(module: ModuleInfo, stmt: ast.stmt, var: str) -> _Escape | None:
-    """First ownership-moving use of the *bare* name ``var`` inside ``stmt``.
-
-    Attribute access (``var.span_id``, ``var.status``) is a use, not a
-    move.
-    """
-    for node in ast.walk(stmt):
-        if not (isinstance(node, ast.Name) and node.id == var):
-            continue
-        if not isinstance(node.ctx, ast.Load):
-            continue
-        # climb out of pure container literals
-        child: ast.AST = node
-        parent = module.parent(child)
-        while isinstance(parent, (ast.Tuple, ast.List, ast.Set, ast.Starred)):
-            child, parent = parent, module.parent(parent)
-        if isinstance(parent, ast.Attribute):
-            continue  # var.something — a use
-        if isinstance(parent, ast.Compare):
-            continue  # var is None — a use
-        if isinstance(parent, ast.Call):
-            if child in parent.args or any(
-                kw.value is child for kw in parent.keywords
-            ):
-                if _is_release_of(parent, var):
-                    continue
-                return _Escape("call", node)
-            continue  # var is the func position
-        if isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
-            return _Escape("return", node)
-        if isinstance(parent, ast.Assign):
-            targets = parent.targets
-            if any(
-                isinstance(t, (ast.Attribute, ast.Subscript)) for t in targets
-            ):
-                return _Escape("store", node)
-            return _Escape("alias", node)
-        if isinstance(parent, (ast.Dict, ast.keyword)):
-            return _Escape("call", node)
-    return None
-
-
-def _following_statements(
-    module: ModuleInfo, stmt: ast.stmt, scope: ast.AST
-) -> Iterator[ast.stmt]:
-    """Statements executing after ``stmt``, walking out to ``scope``."""
-    current: ast.AST = stmt
-    while current is not scope:
-        parent = module.parent(current)
-        if parent is None:
-            return
-        for field_name in ("body", "orelse", "finalbody"):
-            block = getattr(parent, field_name, None)
-            if isinstance(block, list) and current in block:
-                index = block.index(current)
-                yield from block[index + 1 :]
-        current = parent
-
-
-class SpanLifecycleChecker:
-    rule = RULE
+class SpanLifecycleChecker(LifecycleChecker):
+    rule = "span-lifecycle"
     description = (
         "raw spans from Tracer.begin() must reach end()/abort() on every "
         "control-flow path (open spans corrupt traces and calibration)"
     )
-
-    def _applies(self, module: ModuleInfo) -> bool:
-        return any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == _ACQUIRER
-            for node in ast.walk(module.tree)
-        )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        for module in project.modules:
-            if not self._applies(module):
-                continue
-            yield from self._check_module(module)
-
-    # ------------------------------------------------------------------ #
-    def _check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        ownership_moves: list[ast.AST] = []
-        for fn in module.functions():
-            yield from self._check_function(module, fn, ownership_moves)
-        if ownership_moves and not self._module_releases_attribute(module):
-            yield module.finding(
-                self.rule,
-                ownership_moves[0],
-                "span ownership moves into the object graph here, but no "
-                "attribute-held span is ever ended/aborted in this module — "
-                "the close call site appears to be missing",
-            )
-
-    def _acquisitions(self, fn: ast.AST) -> Iterator[ast.Call]:
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == _ACQUIRER
-            ):
-                yield node
-
-    def _check_function(
-        self,
-        module: ModuleInfo,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        ownership_moves: list[ast.AST],
-    ) -> Iterator[Finding]:
-        for call in self._acquisitions(fn):
-            if module.qualname(call).split(".")[-1] != fn.name:
-                continue  # belongs to a nested def; handled there
-            parent = module.parent(call)
-            if isinstance(parent, (ast.Return, ast.withitem)):
-                continue  # ownership transferred / context-managed
-            if isinstance(parent, ast.Call):
-                ownership_moves.append(call)
-                continue
-            if isinstance(parent, ast.Assign):
-                targets = parent.targets
-                if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                    var = targets[0].id
-                    finding = self._check_tracked(
-                        module, fn, parent, call, var, ownership_moves
-                    )
-                    if finding is not None:
-                        yield finding
-                    continue
-                if any(isinstance(t, ast.Attribute) for t in targets):
-                    ownership_moves.append(call)
-                    continue
-                yield module.finding(
-                    self.rule,
-                    call,
-                    "span begun into a target the linter cannot track; "
-                    "assign it to a single name or use tracer.span()",
-                )
-                continue
-            if isinstance(parent, ast.Expr):
-                yield module.finding(
-                    self.rule,
-                    call,
-                    "span begun and immediately dropped — it can never be "
-                    "ended or aborted and stays open in the trace",
-                )
-                continue
-            yield module.finding(
-                self.rule,
-                call,
-                "span begun in an expression position the linter cannot "
-                "track; bind it to a name under try/finally or use "
-                "tracer.span()",
-            )
-
-    def _check_tracked(
-        self,
-        module: ModuleInfo,
-        fn: ast.AST,
-        assign: ast.Assign,
-        call: ast.Call,
-        var: str,
-        ownership_moves: list[ast.AST],
-    ) -> Finding | None:
-        # already protected: the assignment sits inside a try whose
-        # finally/handlers close the span.
-        for ancestor in module.ancestors(assign):
-            if ancestor is fn:
-                break
-            if isinstance(ancestor, ast.stmt) and _try_protects(ancestor, var):
-                return None
-
-        risky_gap = False
-        for stmt in _following_statements(module, assign, fn):
-            if _try_protects(stmt, var):
-                if risky_gap:
-                    return module.finding(
-                        self.rule,
-                        call,
-                        f"statements between beginning '{var}' and the try "
-                        "that closes it may raise, leaving the span open; "
-                        "move them inside the protected region",
-                    )
-                return None
-            escape = _bare_name_escape(module, stmt, var)
-            if escape is not None:
-                if escape.kind in ("call", "store"):
-                    ownership_moves.append(call)
-                if risky_gap:
-                    return module.finding(
-                        self.rule,
-                        call,
-                        f"statements between beginning '{var}' and handing "
-                        "it off may raise, leaving the span open; begin "
-                        "inside a try that aborts it on failure",
-                    )
-                return None
-            if _contains_release(stmt, var):
-                return module.finding(
-                    self.rule,
-                    call,
-                    f"'{var}' is closed on the straight-line path only; a "
-                    "raise in between leaves it open — use try/finally or "
-                    "tracer.span()",
-                )
-            if _contains_call(stmt):
-                risky_gap = True
-        return module.finding(
-            self.rule,
-            call,
-            f"span '{var}' never reaches end()/abort() on some path "
-            f"through {module.qualname(call)}",
-        )
-
-    # ------------------------------------------------------------------ #
-    def _module_releases_attribute(self, module: ModuleInfo) -> bool:
-        """Some attribute-held span is closed somewhere in the module."""
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            # entry.span.end() / inflight.span.abort()
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _RELEASE_ATTRS
-                and isinstance(func.value, ast.Attribute)
-                and _SPANISH.search(func.value.attr)
-            ):
-                return True
-            # _close_quietly(entry.span)
-            name = terminal_name(func)
-            if name and _RELEASER_NAME.search(name):
-                if any(
-                    isinstance(arg, ast.Attribute) and _SPANISH.search(arg.attr)
-                    for arg in node.args
-                ):
-                    return True
-        return False
+    resource = "span"
+    acquirers = frozenset({"begin"})
+    release_methods = ("end", "abort")
+    #: word-anchored: ``append`` must not read as an ``end``.
+    releaser_name = re.compile(r"(?:^|_)(?:end|abort|close)", re.IGNORECASE)
+    holder_name = re.compile(r"span", re.IGNORECASE)

@@ -22,11 +22,16 @@ stitched trace, metrics snapshot and cost-model calibration report
 (:mod:`repro.obs`); ``--trace FILE`` on the plain, batch and serve modes
 dumps a JSON-lines trace of that run.
 
+The mode word is the first argument; anything else is the plain mode's
+matrix file.  A flag more than one mode takes is defined once, in
+``_SHARED_FLAGS``, and every mode's parser adds the shared flags it takes.
+
 Unusable input — a missing or unreadable file, a malformed matrix or JSON
-line — ends the solve, batch, certify and serve modes with one
-``repro: error: ...`` line on stderr and exit status 2, as ``lint`` does
-for its own unusable input; exit 1 keeps its one meaning, "the property
-does not hold".
+line, and for ``lint`` an unknown rule, an unparseable source file or a
+baseline that cannot be read, parsed or written — ends every mode with one
+``repro: error: ...`` line on stderr and exit status 2; exit 1 keeps its
+one meaning, "the property does not hold" (for ``lint --strict``: "new
+findings").
 
 Examples
 --------
@@ -50,18 +55,20 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .batch import solve_many
 from .certify import check_ensemble
 from .core import ENGINES, cycle_realization, path_realization
-from .errors import IncrementalError, InvalidEnsembleError
+from .ensemble import Ensemble
+from .errors import IncrementalError, InvalidEnsembleError, LintError
 from .tutte.decomposition import resolve_engine
 from .matrix import BinaryMatrix
 
@@ -84,20 +91,63 @@ _DEMO = """\
 0 0 0 1 1
 """
 
+#: the flags more than one mode takes, each defined once; see ``_add_shared``.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--demo": dict(action="store_true", help="run on the built-in example"),
+    "--columns": dict(
+        action="store_true",
+        help="permute the columns so every row becomes a block of ones "
+        "(bio convention)",
+    ),
+    "--circular": dict(
+        action="store_true", help="test the circular-ones property instead"
+    ),
+    "--engine": dict(
+        choices=ENGINES,
+        default=None,
+        help="Tutte decomposition engine for the combine step "
+        "(default: spqr, the near-linear palm-tree engine)",
+    ),
+    "--certify": dict(
+        action="store_true",
+        help="certify the answers: the realizing order on acceptance, a "
+        "Tucker obstruction witness (validated by the independent checker) "
+        "on rejection",
+    ),
+    "--trace": dict(
+        metavar="FILE",
+        default=None,
+        help="record a span trace of the run (worker-side spans stitched "
+        "back in) and write it to FILE as JSON lines",
+    ),
+    "--json": dict(metavar="PATH", help="also write the results to PATH as JSON"),
+    "--quiet": dict(
+        action="store_true",
+        help="print only the results, without explanations or closing stats",
+    ),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+
 
 def _reports_bad_input(entry: Callable[[Sequence[str]], int]):
     """Map unusable input to one ``repro: error:`` line and exit status 2.
 
-    Covers files that cannot be opened or read (``OSError``), malformed
-    matrices or JSON lines (:class:`~repro.errors.InvalidEnsembleError`)
-    and malformed delta streams (:class:`~repro.errors.IncrementalError`).
+    Covers files that cannot be opened, read or written (``OSError``),
+    malformed matrices or JSON lines
+    (:class:`~repro.errors.InvalidEnsembleError`), malformed delta streams
+    (:class:`~repro.errors.IncrementalError`) and unusable lint input
+    (:class:`~repro.errors.LintError`).
     """
 
     @functools.wraps(entry)
     def run(argv: Sequence[str]) -> int:
         try:
             return entry(argv)
-        except (OSError, InvalidEnsembleError, IncrementalError) as exc:
+        except (OSError, InvalidEnsembleError, IncrementalError, LintError) as exc:
             print(f"repro: error: {exc}", file=sys.stderr)
             return 2
 
@@ -132,241 +182,59 @@ def parse_matrix_text(text: str) -> list[list[int]]:
     return rows
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Test and realize the consecutive-ones property of a (0,1)-matrix.",
-        epilog="Use 'repro batch FILE [FILE ...]' to solve many matrices at once "
-        "over a process pool, 'repro serve FILE' to stream JSON-line "
-        "instances through a persistent shared-memory worker pool, or "
-        "'repro certify FILE' for a standalone certificate report, or "
-        "'repro lint' for the repo-native invariant lint pass, or "
-        "'repro trace' for an instrumented solve with a cost-model "
-        "calibration report (see their --help). A matrix file literally "
-        "named 'batch', 'serve', 'certify', 'lint' or 'trace' can be "
-        "solved as './batch'.",
-    )
-    parser.add_argument("matrix", nargs="?", help="path to the matrix file ('-' for stdin)")
-    parser.add_argument("--demo", action="store_true", help="run on a built-in example matrix")
-    parser.add_argument(
-        "--columns",
-        action="store_true",
-        help="permute the columns so every row becomes a block of ones (bio convention)",
-    )
-    parser.add_argument(
-        "--circular", action="store_true", help="test the circular-ones property instead"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="Tutte decomposition engine for the combine step "
-        "(default: spqr, the near-linear palm-tree engine)",
-    )
-    parser.add_argument(
-        "--certify",
-        action="store_true",
-        help="on rejection, extract and print a Tucker obstruction witness "
-        "(validated by the independent checker)",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="solve this one instance with N real worker processes over "
-        "shared-memory slices (repro.parallel); small or connected "
-        "instances fall back to the serial kernel automatically",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a span trace of the solve (including worker-side spans "
-        "stitched back from any parallel fan-out) and write it to FILE as "
-        "JSON lines",
-    )
-    parser.add_argument("--quiet", action="store_true", help="print only the order (or NO)")
-    return parser
+def _parse_matrix(
+    text: str, columns: bool = False
+) -> tuple[BinaryMatrix, Ensemble]:
+    """The matrix in ``text`` and its row (``columns``: column) ensemble."""
+    matrix = BinaryMatrix(parse_matrix_text(text))
+    return matrix, matrix.column_ensemble() if columns else matrix.row_ensemble()
 
 
-def _build_batch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro batch",
-        description="Test the consecutive-ones property of many (0,1)-matrices at once.",
-    )
-    parser.add_argument("matrices", nargs="+", help="paths to matrix files")
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan instances/components out over a serve pool of N worker "
-        "processes for this run (0 = one per CPU; default: solve serially)",
-    )
-    parser.add_argument(
-        "--columns",
-        action="store_true",
-        help="permute the columns so every row becomes a block of ones (bio convention)",
-    )
-    parser.add_argument(
-        "--circular", action="store_true", help="test the circular-ones property instead"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="Tutte decomposition engine for the combine step "
-        "(default: spqr, the near-linear palm-tree engine)",
-    )
-    parser.add_argument(
-        "--certify",
-        action="store_true",
-        help="attach certificates to every result: the realizing order on "
-        "acceptance, a Tucker obstruction witness on rejection",
-    )
-    parser.add_argument("--quiet", action="store_true", help="print only per-file results")
-    parser.add_argument(
-        "--json", metavar="PATH", help="also write per-instance results and timings to PATH"
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a span trace of the batch (worker-side spans of "
-        "--processes are stitched in) and write it to FILE as JSON lines",
-    )
-    return parser
+def _read_text(path: str | None) -> str:
+    """The contents of the file ``path``; ``None`` or ``"-"`` reads stdin."""
+    if path in (None, "-"):
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _build_certify_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro certify",
-        description="Solve one (0,1)-matrix and emit a machine-checkable "
-        "certificate either way: the realizing order on acceptance, a Tucker "
-        "obstruction witness (family + row/column embedding) on rejection. "
-        "Certificates are re-validated by the independent checker before "
-        "being reported.",
-    )
-    parser.add_argument("matrix", help="path to the matrix file ('-' for stdin)")
-    parser.add_argument(
-        "--columns",
-        action="store_true",
-        help="permute the columns so every row becomes a block of ones (bio convention)",
-    )
-    parser.add_argument(
-        "--circular", action="store_true", help="test the circular-ones property instead"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="Tutte decomposition engine for the combine step",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", help="write the certificate record to PATH"
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only YES/NO plus the certificate line"
-    )
-    return parser
+@contextlib.contextmanager
+def _traced(path: str | None) -> Iterator:
+    """A fresh tracer whose spans are written to ``path`` as JSON lines
+    when the block completes; ``None`` (no tracing) when ``path`` is unset."""
+    if not path:
+        yield None
+        return
+    from .obs import Tracer
+    from .obs.export import write_trace_jsonl
+
+    tracer = Tracer()
+    yield tracer
+    write_trace_jsonl(tracer, path)
 
 
-def _build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve a stream of (0,1)-matrix instances through a "
-        "persistent shared-memory worker pool.  Input is JSON lines: each "
-        "line is either a bare matrix (list of 0/1 rows) or an object "
-        '{"matrix": [[...]], "id": <anything>}; blank lines and #-comments '
-        "are ignored.  One result JSON line is emitted per instance "
-        "(repro.batch.BatchResult.summary() plus the echoed id).",
-    )
-    parser.add_argument(
-        "input", help="path to a JSON-lines instance file ('-' for stdin)"
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes kept warm (0 = one per CPU; default: 0)",
-    )
-    parser.add_argument(
-        "--columns",
-        action="store_true",
-        help="permute the columns so every row becomes a block of ones (bio convention)",
-    )
-    parser.add_argument(
-        "--circular", action="store_true", help="test the circular-ones property instead"
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("indexed", "reference"),
-        default="indexed",
-        help="solver kernel per task (default: indexed)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="Tutte decomposition engine for the combine step "
-        "(default: spqr, the near-linear palm-tree engine)",
-    )
-    parser.add_argument(
-        "--certify",
-        action="store_true",
-        help="attach certificates to every result: the realizing order on "
-        "acceptance, a Tucker obstruction witness on rejection",
-    )
-    parser.add_argument(
-        "--unordered",
-        action="store_true",
-        help="emit results in completion order (lowest latency) instead of "
-        "input order; every line carries its instance index either way",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help="backpressure window: maximum simultaneously in-flight tasks "
-        "(= live shared-memory segments; default: 4x workers)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the closing stats line (stderr)"
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a span trace of the stream (dispatch spans plus "
-        "worker-side spans stitched back over the result pipes) and "
-        "write it to FILE as JSON lines",
-    )
-    parser.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        metavar="N",
-        help="front the pool with a canonical-form result cache holding up "
-        "to N instances: relabeled duplicates are answered from the store "
-        "(remapped onto their own labels) instead of re-solved; hit/miss/"
-        "eviction counters land in the closing stats line (0 = off)",
-    )
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="delta mode: input lines are session deltas instead of "
-        'matrices — {"op": "open", "n": 5} first, then {"op": "add", '
-        '"column": [0, 2]} / {"op": "remove", "column": [...]} — applied '
-        "in order to one worker-pinned PQ-tree session, one result line "
-        "per delta (incompatible with --cache, --columns and --unordered)",
-    )
-    return parser
+#: planted Tucker obstruction for the trace demo's certification leg.
+_DEMO_REJECT = """\
+1 1 0 0 0 0
+0 1 1 0 0 0
+1 0 1 0 0 0
+0 0 0 1 1 0
+1 0 0 1 0 0
+"""
 
 
-def _build_trace_parser() -> argparse.ArgumentParser:
+@_reports_bad_input
+def trace_main(argv: Sequence[str]) -> int:
+    """Entry point of ``python -m repro trace``."""
+    from .obs import Tracer, calibrate, use_tracer
+    from .obs.export import (
+        write_chrome_trace,
+        write_metrics_snapshot,
+        write_trace_jsonl,
+    )
+    from .parallel import ParallelSolver
+    from .serve import ServePool
+
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Run an instrumented, certified solve through both "
@@ -382,18 +250,7 @@ def _build_trace_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="path to a matrix file ('-' for stdin; default: built-in demo)",
     )
-    parser.add_argument(
-        "--demo", action="store_true", help="trace the built-in demo workload"
-    )
-    parser.add_argument(
-        "--circular", action="store_true", help="test the circular-ones property instead"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="Tutte decomposition engine for the combine step",
-    )
+    _add_shared(parser, "--demo", "--circular", "--engine")
     parser.add_argument(
         "--parallel",
         type=int,
@@ -434,90 +291,7 @@ def _build_trace_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the cost-model calibration report to FILE as JSON",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="print only the artifact paths"
-    )
-    return parser
-
-
-def _build_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Run the repo-native static-analysis pass over a source "
-        "tree: shm-lifecycle (segments closed/unlinked on every path), "
-        "span-lifecycle (begun trace spans ended/aborted on every path), "
-        "spawn-safety (worker payloads picklable by construction), "
-        "flag-parity (kernel/engine/certify/circular kwargs forwarded "
-        "through every public layer), exception-contract (typed errors, no "
-        "silent swallows, no validation asserts) and differential-coverage "
-        "(every fast path bound to a differential/stress/fuzz/corpus "
-        "suite).  Intentional exceptions live in a committed baseline "
-        "(entries need a written justification) or behind inline "
-        "'# repro: lint-ok[rule]' pragmas.",
-    )
-    parser.add_argument(
-        "root",
-        nargs="?",
-        default=".",
-        help="repository root containing src/repro (default: cwd)",
-    )
-    parser.add_argument(
-        "--rules",
-        metavar="RULE[,RULE...]",
-        default=None,
-        help="run only these rule ids (default: all six)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file (default: ROOT/lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings (justifications "
-        "are stubbed with TODO markers for you to fill in) and exit",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "github"),
-        default="text",
-        help="finding output format; 'github' emits workflow-command "
-        "annotations (::error file=...,line=...)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when any non-baselined finding exists (the CI "
-        "gate); without it the run only reports",
-    )
-    return parser
-
-
-#: planted Tucker obstruction for the trace demo's certification leg.
-_DEMO_REJECT = """\
-1 1 0 0 0 0
-0 1 1 0 0 0
-1 0 1 0 0 0
-0 0 0 1 1 0
-1 0 0 1 0 0
-"""
-
-
-@_reports_bad_input
-def trace_main(argv: Sequence[str]) -> int:
-    """Entry point of ``python -m repro trace``."""
-    from .obs import Tracer, calibrate, use_tracer
-    from .obs.export import (
-        write_chrome_trace,
-        write_metrics_snapshot,
-        write_trace_jsonl,
-    )
-    from .parallel import ParallelSolver
-    from .serve import ServePool
-
-    parser = _build_trace_parser()
+    _add_shared(parser, "--quiet")
     args = parser.parse_args(argv)
     if args.parallel < 1:
         parser.error(f"--parallel must be >= 1, got {args.parallel}")
@@ -534,14 +308,10 @@ def trace_main(argv: Sequence[str]) -> int:
             for k in range(8):
                 for bit in (base + k, base + k + 1, base + k + 2):
                     rows[8 * i + k][bit] = 1
-        matrix = BinaryMatrix(rows)
-    elif args.matrix == "-":
-        matrix = BinaryMatrix(parse_matrix_text(sys.stdin.read()))
+        ensemble = BinaryMatrix(rows).row_ensemble()
     else:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            matrix = BinaryMatrix(parse_matrix_text(handle.read()))
-    ensemble = matrix.row_ensemble()
-    reject = BinaryMatrix(parse_matrix_text(_DEMO_REJECT)).row_ensemble()
+        _, ensemble = _parse_matrix(_read_text(args.matrix))
+    _, reject = _parse_matrix(_DEMO_REJECT)
 
     tracer = Tracer()
     start = time.perf_counter()
@@ -615,32 +385,77 @@ def trace_main(argv: Sequence[str]) -> int:
     return 0
 
 
+@_reports_bad_input
 def lint_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro lint``."""
     from .analysis import Baseline, checker_for, run_lint
-    from .errors import LintError
 
-    args = _build_lint_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(
+        prog="repro lint",
+        description="Run the repo-native static-analysis pass over a source "
+        "tree: shm-lifecycle (segments closed/unlinked on every path), "
+        "span-lifecycle (begun trace spans ended/aborted on every path), "
+        "spawn-safety (worker payloads picklable by construction), "
+        "flag-parity (kernel/engine/certify/circular kwargs forwarded "
+        "through every public layer), exception-contract (typed errors, no "
+        "silent swallows, no validation asserts) and differential-coverage "
+        "(every fast path bound to a differential/stress/fuzz/corpus "
+        "suite).  Intentional exceptions live in a committed baseline "
+        "(entries need a written justification) or behind inline "
+        "'# repro: lint-ok[rule]' pragmas.",
+    )
+    parser.add_argument(
+        "root",
+        nargs="?",
+        default=".",
+        help="repository root containing src/repro (default: cwd)",
+    )
+    parser.add_argument(
+        "--rules",
+        metavar="RULE[,RULE...]",
+        default=None,
+        help="run only these rule ids (default: all six)",
+    )
+    parser.add_argument(
+        "--baseline",
+        metavar="PATH",
+        default=None,
+        help="baseline file (default: ROOT/lint-baseline.json)",
+    )
+    parser.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help="rewrite the baseline from the current findings (justifications "
+        "are stubbed with TODO markers for you to fill in) and exit",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "github"),
+        default="text",
+        help="finding output format; 'github' emits workflow-command "
+        "annotations (::error file=...,line=...)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit non-zero when any non-baselined finding exists (the CI "
+        "gate); without it the run only reports",
+    )
+    args = parser.parse_args(argv)
     baseline_path = args.baseline or str(Path(args.root) / "lint-baseline.json")
-    try:
-        checkers = None
-        if args.rules is not None:
-            checkers = [
-                checker_for(rule.strip())
-                for rule in args.rules.split(",")
-                if rule.strip()
-            ]
-        report = run_lint(
-            args.root, checkers=checkers, baseline=Baseline.load(baseline_path)
-        )
-    except LintError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    checkers = None
+    if args.rules is not None:
+        checkers = [
+            checker_for(rule.strip())
+            for rule in args.rules.split(",")
+            if rule.strip()
+        ]
+    report = run_lint(
+        args.root, checkers=checkers, baseline=Baseline.load(baseline_path)
+    )
 
     if args.update_baseline:
-        from .analysis import Baseline as _Baseline
-
-        payload = _Baseline.from_findings(report.new + report.baselined).to_json()
+        payload = Baseline.from_findings(report.new + report.baselined).to_json()
         with open(baseline_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
@@ -773,7 +588,67 @@ def serve_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro serve``."""
     from .serve import ServePool
 
-    parser = _build_serve_parser()
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description="Serve a stream of (0,1)-matrix instances through a "
+        "persistent shared-memory worker pool.  Input is JSON lines: each "
+        "line is either a bare matrix (list of 0/1 rows) or an object "
+        '{"matrix": [[...]], "id": <anything>}; blank lines and #-comments '
+        "are ignored.  One result JSON line is emitted per instance "
+        "(repro.batch.BatchResult.summary() plus the echoed id).",
+    )
+    parser.add_argument(
+        "input", help="path to a JSON-lines instance file ('-' for stdin)"
+    )
+    parser.add_argument(
+        "--processes",
+        type=int,
+        default=0,
+        metavar="N",
+        help="worker processes kept warm (0 = one per CPU; default: 0)",
+    )
+    _add_shared(parser, "--columns", "--circular")
+    parser.add_argument(
+        "--kernel",
+        choices=("indexed", "reference"),
+        default="indexed",
+        help="solver kernel per task (default: indexed)",
+    )
+    _add_shared(parser, "--engine", "--certify")
+    parser.add_argument(
+        "--unordered",
+        action="store_true",
+        help="emit results in completion order (lowest latency) instead of "
+        "input order; every line carries its instance index either way",
+    )
+    parser.add_argument(
+        "--max-inflight",
+        type=int,
+        default=None,
+        metavar="N",
+        help="backpressure window: maximum simultaneously in-flight tasks "
+        "(= live shared-memory segments; default: 4x workers)",
+    )
+    _add_shared(parser, "--quiet", "--trace")
+    parser.add_argument(
+        "--cache",
+        type=int,
+        default=0,
+        metavar="N",
+        help="front the pool with a canonical-form result cache holding up "
+        "to N instances: relabeled duplicates are answered from the store "
+        "(remapped onto their own labels) instead of re-solved; hit/miss/"
+        "eviction counters land in the closing stats line (0 = off)",
+    )
+    parser.add_argument(
+        "--incremental",
+        action="store_true",
+        help="delta mode: input lines are session deltas instead of "
+        'matrices — {"op": "open", "n": 5} first, then {"op": "add", '
+        '"column": [0, 2]} / {"op": "remove", "column": [...]} — applied '
+        "in order to one worker-pinned PQ-tree session, one result line "
+        "per delta (incompatible with --cache, --columns and --unordered)",
+    )
     args = parser.parse_args(argv)
     if args.processes < 0:
         parser.error(f"--processes must be >= 0, got {args.processes}")
@@ -799,66 +674,58 @@ def serve_main(argv: Sequence[str]) -> int:
     # closed the stream, bounded by the pool's in-flight window.
     ids: list[object] = []
 
-    def _instances():
+    def _lines():
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+    def _instances():
+        for lineno, line in _lines():
             instance_id, rows = parse_instance_line(line, lineno)
             matrix = BinaryMatrix(rows)
             ids.append(instance_id)
             yield matrix.column_ensemble() if args.columns else matrix.row_ensemble()
 
     def _deltas():
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _lines():
             delta = parse_delta_line(line, lineno)
             ids.append(lineno)
             yield delta
 
-    tracer = None
-    if args.trace:
-        from .obs import Tracer
-
-        tracer = Tracer()
-    start = time.perf_counter()
     solved = 0
     cache = None
     cache_stats = None
-    try:
-        with ServePool(args.processes, max_inflight=args.max_inflight) as pool:
-            if args.cache:
-                from .incremental import ResultCache
+    with _traced(args.trace) as tracer:
+        start = time.perf_counter()
+        try:
+            with ServePool(args.processes, max_inflight=args.max_inflight) as pool:
+                if args.cache:
+                    from .incremental import ResultCache
 
-                cache = ResultCache(args.cache, metrics=pool.metrics)
-            stream = pool.solve_stream(
-                _deltas() if args.incremental else _instances(),
-                circular=args.circular,
-                kernel=args.kernel,
-                engine=args.engine,
-                certify=args.certify,
-                ordered=not (args.unordered or args.incremental),
-                trace=tracer,
-                cache=cache,
-                incremental=args.incremental,
-            )
-            for result in stream:
-                solved += result.ok
-                record = dict(result.summary(), id=ids[result.index])
-                print(json.dumps(record, default=str), flush=True)
-            cache_stats = (
-                pool.metrics_snapshot() if args.cache and not args.quiet else None
-            )
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
-    elapsed = time.perf_counter() - start
-    if tracer is not None:
-        from .obs.export import write_trace_jsonl
-
-        write_trace_jsonl(tracer, args.trace)
+                    cache = ResultCache(args.cache, metrics=pool.metrics)
+                stream = pool.solve_stream(
+                    _deltas() if args.incremental else _instances(),
+                    circular=args.circular,
+                    kernel=args.kernel,
+                    engine=args.engine,
+                    certify=args.certify,
+                    ordered=not (args.unordered or args.incremental),
+                    trace=tracer,
+                    cache=cache,
+                    incremental=args.incremental,
+                )
+                for result in stream:
+                    solved += result.ok
+                    record = dict(result.summary(), id=ids[result.index])
+                    print(json.dumps(record, default=str), flush=True)
+                cache_stats = (
+                    pool.metrics_snapshot() if args.cache and not args.quiet else None
+                )
+        finally:
+            if handle is not sys.stdin:
+                handle.close()
+        elapsed = time.perf_counter() - start
 
     if not args.quiet:
         rate = len(ids) / elapsed if elapsed > 0 else float("inf")
@@ -887,35 +754,43 @@ def serve_main(argv: Sequence[str]) -> int:
 @_reports_bad_input
 def batch_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro batch``."""
-    parser = _build_batch_parser()
+    parser = argparse.ArgumentParser(
+        prog="repro batch",
+        description="Test the consecutive-ones property of many (0,1)-matrices at once.",
+    )
+    parser.add_argument("matrices", nargs="+", help="paths to matrix files")
+    parser.add_argument(
+        "--processes",
+        type=int,
+        default=None,
+        metavar="N",
+        help="fan the instances out over a serve pool of N worker "
+        "processes for this run (0 = one per CPU; default: solve serially)",
+    )
+    _add_shared(
+        parser, "--columns", "--circular", "--engine", "--certify", "--quiet",
+        "--json", "--trace",
+    )
     args = parser.parse_args(argv)
     if args.processes is not None and args.processes < 0:
         parser.error(f"--processes must be >= 0, got {args.processes}")
-    ensembles = []
-    for path in args.matrices:
-        with open(path, "r", encoding="utf-8") as handle:
-            matrix = BinaryMatrix(parse_matrix_text(handle.read()))
-        ensembles.append(matrix.column_ensemble() if args.columns else matrix.row_ensemble())
+    # batch paths are files only: '-' is not stdin here
+    ensembles = [
+        _parse_matrix(Path(path).read_text(encoding="utf-8"), args.columns)[1]
+        for path in args.matrices
+    ]
 
-    tracer = None
-    if args.trace:
-        from .obs import Tracer
-
-        tracer = Tracer()
-    start = time.perf_counter()
-    results = solve_many(
-        ensembles,
-        circular=args.circular,
-        processes=args.processes,
-        engine=args.engine,
-        certify=args.certify,
-        trace=tracer,
-    )
-    elapsed = time.perf_counter() - start
-    if tracer is not None:
-        from .obs.export import write_trace_jsonl
-
-        write_trace_jsonl(tracer, args.trace)
+    with _traced(args.trace) as tracer:
+        start = time.perf_counter()
+        results = solve_many(
+            ensembles,
+            circular=args.circular,
+            processes=args.processes,
+            engine=args.engine,
+            certify=args.certify,
+            trace=tracer,
+        )
+        elapsed = time.perf_counter() - start
 
     for path, result in zip(args.matrices, results):
         if result.order is None:
@@ -954,14 +829,18 @@ def batch_main(argv: Sequence[str]) -> int:
 @_reports_bad_input
 def certify_main(argv: Sequence[str]) -> int:
     """Entry point of ``python -m repro certify``."""
-    args = _build_certify_parser().parse_args(argv)
-    if args.matrix == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    matrix = BinaryMatrix(parse_matrix_text(text))
-    ensemble = matrix.column_ensemble() if args.columns else matrix.row_ensemble()
+    parser = argparse.ArgumentParser(
+        prog="repro certify",
+        description="Solve one (0,1)-matrix and emit a machine-checkable "
+        "certificate either way: the realizing order on acceptance, a Tucker "
+        "obstruction witness (family + row/column embedding) on rejection. "
+        "Certificates are re-validated by the independent checker before "
+        "being reported.",
+    )
+    parser.add_argument("matrix", help="path to the matrix file ('-' for stdin)")
+    _add_shared(parser, "--columns", "--circular", "--engine", "--json", "--quiet")
+    args = parser.parse_args(argv)
+    _, ensemble = _parse_matrix(_read_text(args.matrix), args.columns)
     solve = cycle_realization if args.circular else path_realization
 
     start = time.perf_counter()
@@ -1004,63 +883,85 @@ def certify_main(argv: Sequence[str]) -> int:
     return 0 if result.ok else 1
 
 
+#: the mode words, each with its entry point and its line in the plain
+#: mode's epilog; any other first argument is the plain mode's matrix file.
+_MODES: dict[str, tuple[Callable[[Sequence[str]], int], str]] = {
+    "batch": (
+        batch_main,
+        "'repro batch FILE [FILE ...]' to solve many matrices at once over a "
+        "process pool",
+    ),
+    "serve": (
+        serve_main,
+        "'repro serve FILE' to stream JSON-line instances through a "
+        "persistent shared-memory worker pool",
+    ),
+    "certify": (certify_main, "'repro certify FILE' for a standalone certificate report"),
+    "lint": (lint_main, "'repro lint' for the repo-native invariant lint pass"),
+    "trace": (
+        trace_main,
+        "'repro trace' for an instrumented solve with a cost-model "
+        "calibration report",
+    ),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "batch":
-        return batch_main(list(argv[1:]))
-    if argv and argv[0] == "certify":
-        return certify_main(list(argv[1:]))
-    if argv and argv[0] == "serve":
-        return serve_main(list(argv[1:]))
-    if argv and argv[0] == "lint":
-        return lint_main(list(argv[1:]))
-    if argv and argv[0] == "trace":
-        return trace_main(list(argv[1:]))
+    if argv and argv[0] in _MODES:
+        entry, _ = _MODES[argv[0]]
+        return entry(list(argv[1:]))
     return _solve_main(argv)
 
 
 @_reports_bad_input
 def _solve_main(argv: Sequence[str]) -> int:
     """The plain solve mode: ``python -m repro [matrix]``."""
-    parser = _build_parser()
+    words = [f"'{word}'" for word in _MODES]
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Test and realize the consecutive-ones property of a (0,1)-matrix.",
+        epilog="Use "
+        + ", ".join(usage for _, usage in _MODES.values())
+        + " (see their --help). A matrix file literally named "
+        + ", ".join(words[:-1])
+        + f" or {words[-1]} can be solved as './batch'.",
+    )
+    parser.add_argument("matrix", nargs="?", help="path to the matrix file ('-' for stdin)")
+    _add_shared(parser, "--demo", "--columns", "--circular", "--engine", "--certify")
+    parser.add_argument(
+        "--parallel",
+        type=int,
+        default=None,
+        metavar="N",
+        help="solve this one instance with N real worker processes over "
+        "shared-memory slices (repro.parallel); small or connected "
+        "instances fall back to the serial kernel automatically",
+    )
+    _add_shared(parser, "--trace", "--quiet")
     args = parser.parse_args(argv)
     if args.parallel is not None and args.parallel < 1:
         parser.error(f"--parallel must be >= 1, got {args.parallel}")
-    if args.demo:
-        text = _DEMO
-    elif args.matrix in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            text = handle.read()
-
-    matrix = BinaryMatrix(parse_matrix_text(text))
-    ensemble = matrix.column_ensemble() if args.columns else matrix.row_ensemble()
+    matrix, ensemble = _parse_matrix(
+        _DEMO if args.demo else _read_text(args.matrix), args.columns
+    )
     solve = cycle_realization if args.circular else path_realization
-    tracer = None
-    if args.trace:
-        from .obs import Tracer
-
-        tracer = Tracer()
-    if args.certify:
-        result = solve(
-            ensemble,
-            engine=args.engine,
-            certify=True,
-            parallel=args.parallel,
-            trace=tracer,
-        )
-        order = None if result.order is None else list(result.order)
-    else:
-        result = None
-        order = solve(
-            ensemble, engine=args.engine, parallel=args.parallel, trace=tracer
-        )
-    if tracer is not None:
-        from .obs.export import write_trace_jsonl
-
-        write_trace_jsonl(tracer, args.trace)
+    with _traced(args.trace) as tracer:
+        if args.certify:
+            result = solve(
+                ensemble,
+                engine=args.engine,
+                certify=True,
+                parallel=args.parallel,
+                trace=tracer,
+            )
+            order = None if result.order is None else list(result.order)
+        else:
+            result = None
+            order = solve(
+                ensemble, engine=args.engine, parallel=args.parallel, trace=tracer
+            )
 
     if order is None:
         print("NO" if args.quiet else "The matrix does NOT have the requested property.")

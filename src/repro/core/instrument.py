@@ -55,7 +55,7 @@ class SolverStats:
     execution: str = "sequential"
     #: worker processes used by a parallel execution (0 when sequential)
     parallel_workers: int = 0
-    #: slice tasks dispatched to workers (components/solve/merge ops)
+    #: solve tasks dispatched to workers, one per component sent to a worker
     parallel_tasks: int = 0
     #: summed wall-clock seconds spent inside worker slice tasks — measured
     #: work, as opposed to the analytic PRAM charge of ``repro.pram``

@@ -15,7 +15,7 @@ processes operating on slices of a single shared-memory segment:
   and one verification, with byte-for-byte serial parity.
 
 Entry points thread through as ``path_realization(..., parallel=N)``,
-``cycle_realization`` and ``repro solve --parallel N``.  See DESIGN.md,
+``cycle_realization`` and ``repro FILE --parallel N``.  See DESIGN.md,
 Substitution 7 for how this deviates from the paper's processor
 allocation and why.
 """

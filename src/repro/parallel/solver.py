@@ -74,13 +74,7 @@ class ParallelSolver:
     call :meth:`close`.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        fanout: str = "auto",
-        max_task_retries: int = 2,
-    ) -> None:
+    def __init__(self, workers: int, *, fanout: str = "auto") -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if fanout not in FANOUT_MODES:
@@ -89,7 +83,6 @@ class ParallelSolver:
             )
         self.workers = workers
         self.fanout = fanout
-        self._max_task_retries = max_task_retries
         self._executor: SliceExecutor | None = None
         self._closed = False
 
@@ -106,9 +99,7 @@ class ParallelSolver:
             with current_tracer().span(
                 "pool.spawn", workers=self.workers, kind="slice"
             ):
-                self._executor = SliceExecutor(
-                    self.workers, max_task_retries=self._max_task_retries
-                )
+                self._executor = SliceExecutor(self.workers)
         return self._executor
 
     def close(self) -> None:

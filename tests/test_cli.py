@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 
 import pytest
@@ -84,6 +85,16 @@ class TestBadInput:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_lint_unwritable_baseline_exits_2(self, tmp_path, capsys):
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        baseline = tmp_path / "absent" / "b.json"
+        argv = ["lint", "--update-baseline", "--baseline", str(baseline)]
+        assert main(argv + [str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("repro: error: ") and "b.json" in line
+
     @pytest.mark.parametrize(
         "line",
         ['{"op": "open", "n": true}', '{"op": "add", "column": [0, true]}'],
@@ -93,6 +104,96 @@ class TestBadInput:
 
         with pytest.raises(InvalidEnsembleError, match="line 4"):
             parse_delta_line(line, 4)
+
+
+STORE, TRUE = "_StoreAction", "_StoreTrueAction"
+DEMO = (("--demo",), "demo", False, None, None, 0, None, TRUE)
+COLUMNS = (("--columns",), "columns", False, None, None, 0, None, TRUE)
+CIRCULAR = (("--circular",), "circular", False, None, None, 0, None, TRUE)
+ENGINE = (("--engine",), "engine", None, None, ("spqr", "splitpair"), None, None, STORE)
+CERTIFY = (("--certify",), "certify", False, None, None, 0, None, TRUE)
+TRACE = (("--trace",), "trace", None, None, None, None, "FILE", STORE)
+JSON = (("--json",), "json", None, None, None, None, "PATH", STORE)
+QUIET = (("--quiet",), "quiet", False, None, None, 0, None, TRUE)
+
+#: every mode's arguments in parser order, ``--help`` aside: (option
+#: strings, dest, default, type, choices, nargs, metavar, action class).
+MODE_FLAGS = {
+    "": [
+        ((), "matrix", None, None, None, "?", None, STORE),
+        DEMO, COLUMNS, CIRCULAR, ENGINE, CERTIFY,
+        (("--parallel",), "parallel", None, int, None, None, "N", STORE),
+        TRACE, QUIET,
+    ],
+    "batch": [
+        ((), "matrices", None, None, None, "+", None, STORE),
+        (("--processes",), "processes", None, int, None, None, "N", STORE),
+        COLUMNS, CIRCULAR, ENGINE, CERTIFY, QUIET, JSON, TRACE,
+    ],
+    "certify": [
+        ((), "matrix", None, None, None, None, None, STORE),
+        COLUMNS, CIRCULAR, ENGINE, JSON, QUIET,
+    ],
+    "serve": [
+        ((), "input", None, None, None, None, None, STORE),
+        (("--processes",), "processes", 0, int, None, None, "N", STORE),
+        COLUMNS, CIRCULAR,
+        (("--kernel",), "kernel", "indexed", None, ("indexed", "reference"),
+         None, None, STORE),
+        ENGINE, CERTIFY,
+        (("--unordered",), "unordered", False, None, None, 0, None, TRUE),
+        (("--max-inflight",), "max_inflight", None, int, None, None, "N", STORE),
+        QUIET, TRACE,
+        (("--cache",), "cache", 0, int, None, None, "N", STORE),
+        (("--incremental",), "incremental", False, None, None, 0, None, TRUE),
+    ],
+    "trace": [
+        ((), "matrix", None, None, None, "?", None, STORE),
+        DEMO, CIRCULAR, ENGINE,
+        (("--parallel",), "parallel", 2, int, None, None, "N", STORE),
+        (("--pool",), "pool", 2, int, None, None, "N", STORE),
+        (("--out",), "out", "trace.jsonl", None, None, None, "FILE", STORE),
+        (("--chrome",), "chrome", None, None, None, None, "FILE", STORE),
+        (("--metrics",), "metrics", None, None, None, None, "FILE", STORE),
+        (("--calibration",), "calibration", None, None, None, None, "FILE", STORE),
+        QUIET,
+    ],
+    "lint": [
+        ((), "root", ".", None, None, "?", None, STORE),
+        (("--rules",), "rules", None, None, None, None, "RULE[,RULE...]", STORE),
+        (("--baseline",), "baseline", None, None, None, None, "PATH", STORE),
+        (("--update-baseline",), "update_baseline", False, None, None, 0, None, TRUE),
+        (("--format",), "format", "text", None, ("text", "json", "github"),
+         None, None, STORE),
+        (("--strict",), "strict", False, None, None, 0, None, TRUE),
+    ],
+}
+
+
+class TestFlagSurface:
+    """Each mode's parser takes exactly its own flags, no more, no fewer."""
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_mode_flag_set(self, monkeypatch, mode):
+        class Parsed(Exception):
+            pass
+
+        def capture(parser, args=None, namespace=None):
+            raise Parsed(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(Parsed) as excinfo:
+            main([mode] if mode else [])
+        parser = excinfo.value.args[0]
+        assert [
+            (
+                tuple(action.option_strings), action.dest, action.default,
+                action.type, action.choices, action.nargs, action.metavar,
+                type(action).__name__,
+            )
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ] == MODE_FLAGS[mode]
 
 
 class TestTrace:

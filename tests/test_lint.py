@@ -149,6 +149,113 @@ class TestFixtureTwins:
         assert suppressed == 1  # the pragmatic() swallow
 
 
+#: each lifecycle rule's resource, substituted into ``ENGINE_CASES``:
+#: (import line, acquiring expression, release method).
+LIFECYCLE_RESOURCES = {
+    "shm-lifecycle": (
+        "from multiprocessing import shared_memory",
+        "shared_memory.SharedMemory(create=True, size=8)",
+        "close",
+    ),
+    "span-lifecycle": (
+        "from repro.obs.trace import Tracer",
+        "tracer.begin('phase')",
+        "end",
+    ),
+}
+
+#: the lifecycle engine's cases, one function each over ``{acquire}`` and
+#: ``{release}``; the lines it must flag carry the ``# LINT`` marker.
+ENGINE_CASES = {
+    "dropped": """
+def case(tracer):
+    {acquire}  # LINT
+""",
+    "never_released": """
+def case(tracer):
+    handle = {acquire}  # LINT
+    return handle.name
+""",
+    "released_on_straight_line_only": """
+def case(tracer):
+    handle = {acquire}  # LINT
+    work()
+    handle.{release}()
+""",
+    "call_before_protecting_try": """
+def case(tracer):
+    handle = {acquire}  # LINT
+    prepared = work()
+    try:
+        return work(prepared)
+    finally:
+        handle.{release}()
+""",
+    "call_before_handoff": """
+def case(tracer):
+    handle = {acquire}  # LINT
+    work()
+    return handle
+""",
+    "tuple_target": """
+def case(tracer):
+    handle, extra = {acquire}  # LINT
+    return extra
+""",
+    "expression_position": """
+def case(tracer):
+    handles = [{acquire}]  # LINT
+    return handles
+""",
+    "attribute_store_never_released_in_module": """
+def case(tracer, owner):
+    owner.handle = {acquire}  # LINT
+""",
+    "try_finally": """
+def case(tracer):
+    handle = {acquire}
+    try:
+        return work()
+    finally:
+        handle.{release}()
+""",
+    "with": """
+def case(tracer):
+    with {acquire} as handle:
+        return work(handle)
+""",
+    "return": """
+def case(tracer):
+    return {acquire}
+""",
+    "is_none_check_then_try_finally": """
+def case(tracer):
+    handle = {acquire}
+    if handle is None:
+        return None
+    try:
+        return work()
+    finally:
+        handle.{release}()
+""",
+}
+
+
+class TestLifecycleEngine:
+    """Both lifecycle rules run one engine: each case under each resource."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("rule", sorted(LIFECYCLE_RESOURCES))
+    def test_case_flags_exact_lines(self, tmp_path, rule, case):
+        header, acquire, release = LIFECYCLE_RESOURCES[rule]
+        source = header + "\n" + ENGINE_CASES[case].format(
+            acquire=acquire, release=release
+        )
+        findings, _ = run_rule(tmp_path, rule, {"src/repro/engine_case.py": source})
+        assert all(f.rule == rule for f in findings)
+        assert sorted(f.line for f in findings) == marker_lines(source)
+
+
 class TestFrameworkMechanics:
     def test_pragma_wildcard_silences_every_rule(self, tmp_path):
         source = (
