@@ -308,18 +308,28 @@ class Baseline:
     def to_json(self) -> dict[str, object]:
         return {"version": self.VERSION, "entries": self.entries}
 
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
+    def regenerated(self, findings: Sequence[Finding]) -> "Baseline":
+        """A baseline of exactly ``findings``.
+
+        A finding that matches one of this baseline's entries keeps that
+        entry's justification; any other gets a TODO to fill in.
+        """
+        kept = {
+            (entry["rule"], entry["path"], entry["context"]): entry["justification"]
+            for entry in self.entries
+        }
         entries = [
             {
                 "rule": finding.rule,
                 "path": finding.path,
                 "context": finding.context,
-                "justification": "TODO: justify this exception",
+                "justification": kept.get(
+                    finding.key, "TODO: justify this exception"
+                ),
             }
             for finding in findings
         ]
-        return cls(entries)
+        return Baseline(entries)
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,8 @@ label-level reference solver instead.  Atom labels must be picklable when
 worker processes are used (plain ints/strings always are): the packed
 shared-memory wire format of :mod:`repro.serve.wire` pickles each distinct
 label once.  With ``certify=True`` a rejected instance's witness is
-extracted in the same task that solved it.
+extracted in the same task that solved it.  Every answer, on every path,
+leaves through one builder, :func:`_result`.
 
 Both process paths are the one ``pool.solve_many`` call, so results,
 certificates and traces are the same either way.  A transient pool pays
@@ -50,6 +51,7 @@ from .core import cycle_realization, path_realization
 from .core.indexed import IndexedEnsemble, _component_ensemble, _split
 from .core.solver import _check_kernel
 from .ensemble import Ensemble
+from .incremental.cache import CacheFront
 from .obs.trace import NULL_TRACER, current_tracer, use_tracer
 from .tutte.decomposition import resolve_engine
 
@@ -82,7 +84,8 @@ class BatchResult:
     #: pieces) or ``"circular-skip"`` (a circular instance is *never* split:
     #: dropping trivial and full columns preserves only linear layouts, and
     #: the cycle solver's own column normalisation decides which columns are
-    #: trivial); pool streams add ``"cache"`` and ``"delta"``, solved whole
+    #: trivial); a cache-fronted call, serial or pooled, records ``"cache"``
+    #: and a delta stream ``"delta"``: both solve whole instances
     split: str = ""
 
     @property
@@ -164,9 +167,11 @@ def _linear_parts(instance: IndexedEnsemble) -> list[tuple[IndexedEnsemble, list
     return parts
 
 
-def _split_mode(circular: bool) -> str:
+def _split_mode(circular: bool, cache=None) -> str:
     """The :attr:`BatchResult.split` value of a call; the pool shares it, so
     serial and pool summaries agree byte for byte."""
+    if cache is not None:
+        return "cache"
     return "circular-skip" if circular else "components"
 
 
@@ -245,10 +250,10 @@ def solve_many(
         ``processes=`` and ``pool=``, whose worker-side spans are stitched
         back under their dispatch spans.
     cache:
-        A :class:`repro.incremental.ResultCache` fronting the pool:
-        relabeled duplicate instances are answered from the store instead
-        of re-solved.  Requires ``pool=``; see
-        :meth:`repro.serve.ServePool.solve_stream`.
+        A :class:`repro.incremental.ResultCache`: relabeled duplicate
+        instances are answered from the store instead of re-solved.  No
+        pool is needed: serial and pool calls run the same cache front;
+        see :meth:`repro.serve.ServePool.solve_stream`.
     incremental:
         Delta mode — ``ensembles`` is then an iterable of session deltas
         (``("open", n)`` / ``("add", columns)`` / ``("remove", columns)``)
@@ -259,30 +264,36 @@ def solve_many(
     -------
     One :class:`BatchResult` per input ensemble, in input order.
     """
-    if cache is not None or incremental:
-        if pool is None:
-            raise ValueError(
-                "cache= and incremental= are serving-layer features: pass a "
-                "warm repro.serve.ServePool via pool= (or use "
-                "repro.incremental.cached_solve / IncrementalSolver for the "
-                "in-process equivalents)"
-            )
+    if incremental and pool is None:
+        raise ValueError(
+            "incremental= is a serving-layer feature: pass a warm "
+            "repro.serve.ServePool via pool= (or use "
+            "repro.incremental.IncrementalSolver in-process)"
+        )
     transient = None
     if pool is None:
         instances = list(ensembles)
         workers = _resolve_workers(processes, len(instances))
         if workers < 2:
-            split = _split_mode(circular)
+            split = _split_mode(circular, cache)
+            front = CacheFront(
+                cache, circular=circular, certify=certify, kernel=kernel, engine=engine
+            )
             results = []
             with use_tracer(trace if trace is not None else current_tracer()):
                 for index, ensemble in enumerate(instances):
-                    order, parts, witness = _solve_instance(
-                        IndexedEnsemble.from_ensemble(ensemble),
-                        split, circular, kernel, engine, certify,
-                    )
+                    # Serially a leader settles before the next request is
+                    # admitted, so nothing coalesces: one answer per request.
+                    instance, ready = front.admit(index, ensemble)
+                    if instance is not None:
+                        ready = front.settle(index, _solve_instance(
+                            IndexedEnsemble.from_ensemble(instance),
+                            split, circular, kernel, engine, certify,
+                        ))
+                    ((_, raw),) = ready
                     results.append(_result(
-                        index, order, witness, ensemble.num_atoms,
-                        ensemble.num_columns, parts, split, circular, certify,
+                        index, raw, ensemble.num_atoms, ensemble.num_columns,
+                        split, circular, certify,
                     ))
             return results
         from .serve.pool import ServePool
@@ -314,11 +325,11 @@ def _solve_instance(
     certify: bool,
     *,
     span_prefix: str | None = None,
-) -> tuple[list | None, int, object | None]:
+) -> tuple[list | None, dict | None, int]:
     """Solve one instance of :func:`solve_many`: split, solve, certify.
 
-    Serial ``solve_many`` and the pool worker both run this, so a pool
-    result is the serial result by construction.
+    Serial ``solve_many`` and the pool worker's handler both run this, so
+    a pool result is the serial result by construction.
 
     1. With ``split == "components"`` the instance is split into the parts
        of its connected components (:func:`_linear_parts`); otherwise it
@@ -330,9 +341,10 @@ def _solve_instance(
        the rejecting part and its rows re-indexed to the instance's
        columns.
 
-    Returns ``(order, parts, witness)``: the layout or ``None``, the number
-    of parts, and the ``TuckerWitness`` of a certified rejection (else
-    ``None``).  ``span_prefix`` traces the solve and the extraction as
+    Returns the raw answer ``(order, witness_json, parts)`` that every
+    exit hands to :func:`_result`: the layout or ``None``, the JSON payload
+    of a certified rejection's ``TuckerWitness`` (else ``None``) and the
+    number of parts.  ``span_prefix`` traces the solve and the extraction as
     ``<prefix>.solve`` / ``<prefix>.certify`` spans of the ambient tracer.
     An unknown ``kernel`` or ``engine`` raises ``ValueError`` first.
     """
@@ -351,7 +363,7 @@ def _solve_instance(
                 break
             order.extend(piece)
     if not certify or order is not None:
-        return order, len(parts), None
+        return order, None, len(parts)
     from .certify.witness import extract_tucker_witness
 
     # ``part`` is the one that rejected; ``rows`` its columns' input indices.
@@ -367,7 +379,7 @@ def _solve_instance(
         witness = replace(
             witness, row_indices=tuple(rows[j] for j in witness.row_indices)
         )
-    return None, len(parts), witness
+    return None, witness.to_json(), len(parts)
 
 
 def _solve_part(part: IndexedEnsemble, circular, kernel, engine) -> list | None:
@@ -379,22 +391,24 @@ def _solve_part(part: IndexedEnsemble, circular, kernel, engine) -> list | None:
 
 
 def _result(
-    index, order, witness, num_atoms, num_columns, parts, split, circular,
-    certify,
+    index, raw, num_atoms, num_columns, split, circular, certify
 ) -> BatchResult:
-    """One instance's answer, serial or from a pool worker.
+    """The one builder of a :class:`BatchResult`, for every exit.
 
-    With ``certify`` a realized instance gets an ``OrderCertificate`` of
-    its layout, a rejected one its ``witness``.
+    ``raw`` is ``(order, witness_json, parts)`` as :func:`_solve_instance`
+    returns it.  With ``certify`` a realized instance gets an
+    ``OrderCertificate`` of its layout, a rejected one its witness.
     """
+    order, witness_json, parts = raw
     certificate = None
     if certify:
-        certificate = witness
-        if order is not None:
-            from .certify.certificates import OrderCertificate
+        from .certify.certificates import OrderCertificate, certificate_from_json
 
+        if order is not None:
             kind = "circular" if circular else "consecutive"
             certificate = OrderCertificate(kind, tuple(order))
+        elif witness_json is not None:
+            certificate = certificate_from_json(witness_json)
     return BatchResult(
         index=index,
         order=None if order is None else list(order),

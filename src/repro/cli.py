@@ -450,12 +450,11 @@ def lint_main(argv: Sequence[str]) -> int:
             for rule in args.rules.split(",")
             if rule.strip()
         ]
-    report = run_lint(
-        args.root, checkers=checkers, baseline=Baseline.load(baseline_path)
-    )
+    baseline = Baseline.load(baseline_path)
+    report = run_lint(args.root, checkers=checkers, baseline=baseline)
 
     if args.update_baseline:
-        payload = Baseline.from_findings(report.new + report.baselined).to_json()
+        payload = baseline.regenerated(report.new + report.baselined).to_json()
         with open(baseline_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")

@@ -10,9 +10,11 @@ Substitution 9):
   atom/column relabeling, remapped onto each request's labels on hit
   (:mod:`repro.incremental.canon` / :mod:`repro.incremental.cache`).
 
-Both front :class:`repro.serve.ServePool` (``solve_stream(cache=...)``,
-``solve_stream(incremental=True)``; CLI ``repro serve --cache`` /
-``--incremental``).
+The cache fronts :func:`repro.batch.solve_many` (``cache=``, serially
+or on a pool) and :meth:`repro.serve.ServePool.solve_stream`, through one
+cache front; :func:`cached_solve` is ``solve_many`` on one instance.
+Delta sessions run on the pool (``solve_stream(incremental=True)``).  CLI:
+``repro serve --cache`` / ``--incremental``.
 """
 
 from .cache import CacheProbe, ResultCache, cached_solve

@@ -1,4 +1,4 @@
-"""Canonical-form result cache fronting the serving layer.
+"""Canonical-form result cache fronting every batch and serving call.
 
 Replayed serving traffic is full of *relabeled duplicates*: the same
 instance arrives again with its atoms renamed and its columns shuffled.
@@ -18,13 +18,17 @@ canonical permutation on the way out:
   ``row_indices`` through the inverse column permutation onto the
   request's column positions.
 
-Hit/miss/eviction counters export through a
+:class:`CacheFront` runs one call's requests through the cache — probe,
+then hit, lead or follow an equal form in flight, then store and remap —
+for serial ``solve_many(cache=)``, pool streams and :func:`cached_solve`
+alike.  Hit/miss/eviction counters export through a
 :class:`repro.obs.MetricsRegistry` (pass the pool's registry to fold them
 into ``ServePool.metrics_snapshot()``):
 
 ========================  =============================================
 ``cache.hits``            probes answered from the store
 ``cache.misses``          probes that fell through to a solve
+``cache.coalesced``       misses that rode an equal form's solve
 ``cache.evictions``       entries retired by the LRU bound
 ``cache.inexact_forms``   probes whose canonicalization ran out of
                           budget (correct, but relabelings may miss)
@@ -76,15 +80,8 @@ class CacheProbe:
         return self._remap(self._payload)
 
     def fulfill(self, payload: tuple) -> None:
-        """Adopt a canonical-space answer computed elsewhere.
-
-        The serving layer coalesces duplicate misses: when a probe misses
-        while an equal canonical form is already being solved, the probe
-        waits for that leader's answer and adopts it here instead of
-        dispatching its own solve.  After ``fulfill`` the probe behaves
-        exactly like a hit — :meth:`result` remaps the shared canonical
-        payload through *this* request's own permutations.
-        """
+        """Adopt the canonical-space answer of an equal form's solve (a
+        coalesced miss's leader); :meth:`result` then remaps it as a hit's."""
         self.hit = True
         self._payload = payload
 
@@ -233,6 +230,67 @@ class ResultCache:
             self.metrics.gauge("cache.entries").set(len(self._entries))
 
 
+class CacheFront:
+    """One call's cache path: serial ``solve_many``, ``solve_stream`` and
+    :func:`cached_solve` all run their requests through it.
+
+    :meth:`admit` probes a request: a hit is answered at once, a miss
+    whose canonical form is already in flight *follows* that leader, and
+    any other miss *leads* with the canonical instance to solve, whole.
+    :meth:`settle` stores a leader's answer and returns it remapped for the
+    leader and each follower.  Answers are raw ``(order, witness_json,
+    parts)`` triples.  Without a cache every request leads with itself and
+    its answer passes through.  The pool admits on its feeder thread and
+    settles on its consumer; the lock orders leaders and followers.
+    """
+
+    def __init__(self, cache, **flags) -> None:
+        self.cache = cache
+        self._flags = flags  # circular, certify, kernel, engine
+        self._lock = threading.Lock()
+        # canonical identity -> index of the in-flight leader solving it
+        self._leaders: dict[tuple, int] = {}
+        # leader index -> (identity, its probe, its followers' (index, probe))
+        self._led: dict[int, tuple] = {}
+
+    def admit(self, index: int, instance: Ensemble) -> tuple:
+        """``(instance to solve or None, [(index, answer)] ready now)``;
+        a follower's answer comes out of its leader's :meth:`settle`."""
+        if self.cache is None:
+            return instance, []
+        probe = self.cache.probe(instance, **self._flags)
+        if probe.hit:
+            return None, [(index, probe.result() + (1,))]
+        form = probe.form
+        identity = (form.key, form.num_atoms, form.masks, probe.variant)
+        with self._lock:
+            leader = self._leaders.get(identity)
+            if leader is not None:
+                self._led[leader][2].append((index, probe))
+                self.cache.metrics.counter("cache.coalesced").inc()
+                return None, []
+            self._leaders[identity] = index
+            self._led[index] = (identity, probe, [])
+        return probe.canonical, []
+
+    def settle(self, index: int, answer: tuple) -> list[tuple]:
+        """``[(index, answer)]`` for the leader, then its followers.  The
+        store precedes the retire, so no duplicate leads a second solve."""
+        if self.cache is None:
+            return [(index, answer)]
+        order, witness_json, parts = answer
+        identity, probe, _ = self._led[index]
+        ready = [(index, probe.store(order, witness_json) + (parts,))]
+        with self._lock:
+            del self._leaders[identity]
+            followers = self._led.pop(index)[2]
+        payload = (None if order is None else tuple(order), witness_json)
+        for follower, follower_probe in followers:
+            follower_probe.fulfill(payload)
+            ready.append((follower, follower_probe.result() + (parts,)))
+        return ready
+
+
 def cached_solve(
     cache: ResultCache,
     instance: Ensemble,
@@ -242,45 +300,16 @@ def cached_solve(
     kernel: str = "indexed",
     engine: str | None = None,
 ) -> tuple:
-    """Serial cache-fronted solve: ``(order, certificate)``.
+    """Serial cache-fronted solve of one instance: ``(order, certificate)``.
 
-    The in-process twin of the pool's cache path (same probe, same
-    canonical-instance miss solve, same remapping) — what the property
-    tests compare hit-vs-miss byte equality against, and the serving
-    loop's fallback when no pool is attached.  ``order`` is the layout in
-    the request's labels (or ``None``); ``certificate`` follows the batch
-    convention when ``certify`` is set.
+    ``solve_many([instance], cache=cache, ...)`` unpacked, so its answer is
+    that of every other cache-fronted call.  ``order`` is in the request's
+    labels (or ``None``); ``certificate`` is set only under ``certify``.
     """
-    from ..certify.certificates import OrderCertificate, certificate_from_json
-    from ..core import cycle_realization, path_realization
+    from ..batch import solve_many
 
-    probe = cache.probe(
-        instance, circular=circular, certify=certify, kernel=kernel, engine=engine
+    (result,) = solve_many(
+        [instance], circular=circular, certify=certify, kernel=kernel,
+        engine=engine, cache=cache,
     )
-    if probe.hit:
-        order, witness_json = probe.result()
-    else:
-        canonical = probe.canonical
-        solve = cycle_realization if circular else path_realization
-        canon_order = solve(canonical, kernel=kernel, engine=engine, certify=False)
-        canon_witness = None
-        if certify and canon_order is None:
-            from ..certify.witness import extract_tucker_witness
-
-            canon_witness = extract_tucker_witness(
-                canonical,
-                kernel=kernel,
-                engine=engine,
-                circular=circular,
-                assume_rejected=True,
-            ).to_json()
-        order, witness_json = probe.store(canon_order, canon_witness)
-    certificate = None
-    if certify:
-        if order is not None:
-            certificate = OrderCertificate(
-                "circular" if circular else "consecutive", tuple(order)
-            )
-        elif witness_json is not None:
-            certificate = certificate_from_json(witness_json)
-    return order, certificate
+    return result.order, result.certificate

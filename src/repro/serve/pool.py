@@ -40,9 +40,9 @@ Robustness model
 * **Backpressure.**  At most ``max_inflight`` bundles (and therefore
   shared-memory segments) exist at a time; ``submit`` blocks once the
   window is full and unblocks as results arrive.  ``max_segment_bytes``
-  bounds the per-segment budget: an instance whose whole payload is over
-  it is rejected up front, and the streaming chunker flushes bundles early
-  to stay under it.
+  bounds the per-segment budget: a packed bundle frame over it is rejected
+  before a slot or a segment is taken, and the streaming chunker flushes
+  bundles early to stay under it.
 * **Graceful shutdown.**  ``close()`` (also via ``with``) drains pending
   work, sends each worker a sentinel, joins them until its deadline,
   SIGKILLs stragglers, and unlinks any segment still alive.
@@ -63,11 +63,12 @@ import threading
 import time
 from typing import Hashable, Iterable, Iterator
 
-from ..batch import BatchResult, _result as _batch_result, _solve_instance, _split_mode
+from ..batch import BatchResult, _result, _solve_instance, _split_mode
 from ..core.bitset import mask_from_indices, mask_to_indices
 from ..core.indexed import IndexedEnsemble
 from ..ensemble import Ensemble
 from ..errors import IncrementalError, ServeError
+from ..incremental.cache import CacheFront
 from ..incremental.solver import OP_ADD, OP_OPEN, OP_REMOVE
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer, current_tracer
@@ -81,19 +82,22 @@ __all__ = ["ServePool", "ServeFuture"]
 #: bundle-entry kind bytes understood by the worker handler.
 _K_SOLVE, _K_DELTA = 0, 1
 
+#: marks the end of a stream's input for the feeder's ``next()``.
+_END = object()
+
 
 # ---------------------------------------------------------------------- #
 # the worker side
 # ---------------------------------------------------------------------- #
 def _serve_bundle(buf, args, sessions) -> list:
-    """Fleet handler: solve one bundle, one outcome per entry.
+    """Fleet handler: solve one bundle, one raw answer per entry.
 
     ``args`` is ``(circular, kernel, engine, split, certify)``, with
     ``split`` the stream's :attr:`~repro.batch.BatchResult.split` mode
     (``"whole"`` for :meth:`ServePool.submit`); only ``"components"``
-    splits an instance.  A solve entry
-    answers ``(order, witness_json, parts)`` (:func:`_solve_entry`), a
-    delta entry ``(order, witness_json)``.  ``sessions`` is the
+    splits an instance.  Each entry answers ``(order, witness_json,
+    parts)``: a solve entry from ``batch._solve_instance`` on the decoded
+    instance, a delta entry from :func:`_delta_entry`.  ``sessions`` is the
     worker-local delta-session table: incremental solvers keyed by session
     id, populated by ``C1PD`` OPEN frames and mutated in place by
     ADD/REMOVE frames.  It lives in this process only — the parent's
@@ -108,24 +112,14 @@ def _serve_bundle(buf, args, sessions) -> list:
     entries = [(kind, bytes(payload)) for kind, payload in wire.unpack_bundle(buf)]
     with current_tracer().span("worker.serve.task", entries=len(entries)):
         return [
-            _delta_entry(sessions, payload, kernel, engine)
+            _delta_entry(sessions, payload, kernel, engine) + (1,)
             if kind == _K_DELTA
-            else _solve_entry(payload, circular, kernel, engine, split, certify)
+            else _solve_instance(
+                IndexedEnsemble.from_packed_masks(payload),
+                split, circular, kernel, engine, certify, span_prefix="serve",
+            )
             for kind, payload in entries
         ]
-
-
-def _solve_entry(payload, circular, kernel, engine, split, certify):
-    """Solve one whole instance; returns ``(order, witness_json, parts)``.
-
-    Serial ``solve_many``'s per-instance routine (split, solve, certify —
-    all in this one task), run on the instance decoded from its payload.
-    """
-    order, parts, witness = _solve_instance(
-        IndexedEnsemble.from_packed_masks(payload),
-        split, circular, kernel, engine, certify, span_prefix="serve",
-    )
-    return (order, None if witness is None else witness.to_json(), parts)
 
 
 def _delta_entry(sessions, payload, kernel, engine):
@@ -199,7 +193,7 @@ class ServeFuture:
     certify-flavoured tasks that rejected, the Tucker witness as its JSON
     payload (reconstruct with
     :func:`repro.certify.certificates.certificate_from_json`).  For an
-    internal bundle it returns the list of the handler's per-entry outcomes.
+    internal bundle it returns the handler's raw answers, one per entry.
     """
 
     __slots__ = ("tag", "_event", "_value", "_error")
@@ -295,10 +289,10 @@ class ServePool:
         Backpressure window: the maximum number of simultaneously live
         bundles (= shared-memory segments).  Default ``4 × workers``.
     max_segment_bytes:
-        When set, a single instance whose packed payload exceeds this many
-        bytes is rejected with :class:`~repro.errors.ServeError`, and the
-        streaming chunker flushes bundles early so no segment exceeds the
-        budget.
+        When set, a bundle whose packed frame exceeds this many bytes — a
+        lone oversize instance, in practice — is rejected with
+        :class:`~repro.errors.ServeError`, and the streaming chunker
+        flushes bundles early so no segment exceeds the budget.
     max_task_retries:
         How many times a bundle is re-dispatched after crashing its worker
         before its future fails.
@@ -444,18 +438,8 @@ class ServePool:
         stitches the worker-side spans under it when the result lands
         (``None`` inherits the ambient tracer of the calling thread).
         """
-        payload = _pack_instance(ensemble)
-        if (
-            self.max_segment_bytes is not None
-            and wire.bundle_size([len(payload)]) > self.max_segment_bytes
-        ):
-            raise ServeError(
-                f"packed payload is {len(payload)} bytes "
-                f"({wire.bundle_size([len(payload)])} framed), over the "
-                f"pool's segment budget of {self.max_segment_bytes}"
-            )
         return self._submit_bundle(
-            [(_K_SOLVE, payload)],
+            [(_K_SOLVE, _pack_instance(ensemble))],
             (circular, kernel, engine, "whole", certify),
             done_q=None,
             tag=None,
@@ -486,11 +470,9 @@ class ServePool:
             self.max_segment_bytes is not None
             and len(frame) > self.max_segment_bytes
         ):
-            # Authoritative size gate, checked on the *packed frame* before
-            # any state changes hands: callers' pre-checks estimate entry
-            # costs, but only this rejection is guaranteed not to strand an
-            # in-flight slot (not yet acquired) or a registered segment (not
-            # yet created).
+            # The one size gate, checked on the *packed frame* before any
+            # state changes hands: no in-flight slot is acquired and no
+            # segment created yet, so the rejection strands neither.
             raise ServeError(
                 f"bundle frame is {len(frame)} bytes, over the pool's "
                 f"segment budget of {self.max_segment_bytes}"
@@ -662,7 +644,8 @@ class ServePool:
         ``chunksize`` controls how many instances share a segment; the
         default is the executor policy (``instances // (workers * 4)``) for
         sized inputs and ``1`` — lowest per-instance latency — for unsized
-        streams.
+        streams.  Once the stream is closed, the feeder takes no further
+        request from ``ensembles``.
 
         ``trace=`` must be passed explicitly to trace a stream: submission
         happens on the feeder thread, and a contextvar-installed ambient
@@ -670,15 +653,14 @@ class ServePool:
         so the tracer captured *here*, on the calling thread, is handed to
         the feeder by closure.
 
-        ``cache=`` takes a :class:`repro.incremental.ResultCache`: each
-        instance is canonicalized and probed before dispatch; hits are
-        answered from the store (remapped onto the instance's own
-        labels), misses solve the *canonical* instance — so hit and miss
-        answers are byte-identical — and populate the cache on the way
-        back.  Cache-routed results carry ``split="cache"`` and are never
-        component-split (stored answers are whole-instance).  Build the
-        cache with ``metrics=pool.metrics`` to fold its hit/miss/eviction
-        counters into :meth:`metrics_snapshot`.
+        ``cache=`` takes a :class:`repro.incremental.ResultCache`, run
+        through serial ``solve_many``'s cache front: hits are answered
+        from the store, a miss whose canonical form is in flight rides that
+        solve, and any other miss solves the *canonical* instance — so hit
+        and miss answers are byte-identical.  Cache-routed results carry
+        ``split="cache"`` and are never component-split.  Build the cache
+        with ``metrics=pool.metrics`` to fold its counters into
+        :meth:`metrics_snapshot`.
 
         ``incremental=True`` switches the stream to *delta mode*:
         ``ensembles`` is then an iterable of deltas — ``("open", n)``
@@ -716,32 +698,22 @@ class ServePool:
                 chunksize = 1
         if chunksize < 1:
             raise ValueError("chunksize must be >= 1")
+        # The feeder puts three kinds of message: a bundle's future, a list
+        # of answers ready without a solve (cache hits), and the request
+        # count once the input is exhausted; ``None`` signals its error.
         done_q: queue.Queue = queue.Queue()
-        # Written by the feeder strictly before any bundle naming an index
-        # is submitted; read by the consumer only after that bundle's
-        # result arrives, so the done_q handoff orders every access.
-        states: dict[int, _StreamState] = {}
-        # Miss coalescing: canonical identity -> index of the in-flight
-        # miss solving it.  The feeder registers leaders and attaches
-        # followers; the consumer retires a leader (and fulfills its
-        # followers) when its solve completes.  The lock orders the two
-        # threads; everything else about a follower stays thread-local.
-        coalesce_lock = threading.Lock()
-        leader_of: dict[tuple, int] = {}
-
+        stop = threading.Event()
         feeder_error: list[BaseException] = []
+        # (num_atoms, num_columns) per request: the feeder writes it before
+        # admitting the request, so the done_q handoff orders every access.
+        shapes: dict[int, tuple[int, int]] = {}
         tracer = trace if trace is not None else current_tracer()
         stream_trace = tracer if tracer.enabled else None
-        # Cache misses solve the canonical instance whole: stored answers
-        # are whole-instance.
-        split = "cache" if cache is not None else _split_mode(circular)
+        front = CacheFront(
+            cache, circular=circular, certify=certify, kernel=kernel, engine=engine
+        )
+        split = _split_mode(circular, cache)
         args = (circular, kernel, engine, split, certify)
-
-        def _answer(index, instance, order, witness_json, parts=1) -> BatchResult:
-            return _result(
-                index, order, witness_json, instance.num_atoms,
-                instance.num_columns, parts, split, circular, certify,
-            )
 
         def _flush(group: list[tuple[int, bytes]]) -> None:
             self._submit_bundle(
@@ -757,63 +729,27 @@ class ServePool:
             try:
                 group: list[tuple[int, bytes]] = []
                 group_bytes = wire.BUNDLE_HEADER.size
-                count = 0
-                for index, instance in enumerate(ensembles):
-                    count += 1
-                    state = _StreamState(instance)
-                    if cache is not None:
-                        probe = state.probe = cache.probe(
-                            instance,
-                            circular=circular,
-                            certify=certify,
-                            kernel=kernel,
-                            engine=engine,
-                        )
-                        if probe.hit:
-                            # Answered from the store: no dispatch at all.
-                            # The consumer remaps the canonical payload
-                            # onto this instance's labels.
-                            done_q.put(("cached", index, instance, probe))
-                            continue
-                        # Miss: dispatch the *canonical* instance, whole —
-                        # its answer is what the store keeps, and what a
-                        # later hit will remap, so hit and miss paths are
-                        # byte-identical for equal canonical forms.
-                        ckey = (
-                            probe.form.key,
-                            probe.form.num_atoms,
-                            probe.form.masks,
-                            probe.variant,
-                        )
-                        with coalesce_lock:
-                            leader = leader_of.get(ckey)
-                            if leader is not None:
-                                # An equal canonical form is already being
-                                # solved: ride that solve instead of
-                                # dispatching a duplicate.
-                                states[leader].followers.append(
-                                    (index, instance, probe)
-                                )
-                                cache.metrics.counter(
-                                    "cache.coalesced"
-                                ).inc()
-                                continue
-                            leader_of[ckey] = index
-                        state.coalesce_key = ckey
-                        instance = probe.canonical
-                    states[index] = state
+                requests = iter(ensembles)
+                for index in itertools.count():
+                    # Checked before each pull: a closed stream takes no
+                    # further request, even from a source that blocks.
+                    if stop.is_set():
+                        return
+                    instance = next(requests, _END)
+                    if instance is _END:
+                        break
+                    shapes[index] = (instance.num_atoms, instance.num_columns)
+                    instance, ready = front.admit(index, instance)
+                    if ready:
+                        done_q.put(ready)
+                    if instance is None:
+                        continue
                     payload = _pack_instance(instance)
                     cost = wire.ENTRY_HEADER.size + len(payload)
-                    if self.max_segment_bytes is not None:
-                        if wire.BUNDLE_HEADER.size + cost > self.max_segment_bytes:
-                            raise ServeError(
-                                f"packed payload is {len(payload)} bytes, "
-                                f"over the pool's segment budget of "
-                                f"{self.max_segment_bytes}"
-                            )
-                        if group and group_bytes + cost > self.max_segment_bytes:
-                            _flush(group)
-                            group, group_bytes = [], wire.BUNDLE_HEADER.size
+                    budget = self.max_segment_bytes
+                    if budget is not None and group and group_bytes + cost > budget:
+                        _flush(group)
+                        group, group_bytes = [], wire.BUNDLE_HEADER.size
                     group.append((index, payload))
                     group_bytes += cost
                     if len(group) >= chunksize:
@@ -821,7 +757,7 @@ class ServePool:
                         group, group_bytes = [], wire.BUNDLE_HEADER.size
                 if group:
                     _flush(group)
-                done_q.put(("end", count))
+                done_q.put(index)  # the request count
             except BaseException as exc:  # surface in the consumer
                 feeder_error.append(exc)
                 done_q.put(None)
@@ -840,61 +776,29 @@ class ServePool:
                 message = done_q.get()
                 if message is None:
                     raise feeder_error[0]
-                if isinstance(message, tuple) and message[0] == "end":
-                    total = message[1]
+                if isinstance(message, int):
+                    total = message
                     continue
-                if isinstance(message, tuple) and message[0] == "cached":
-                    _, index, instance, probe = message
-                    ready = [_answer(index, instance, *probe.result())]
-                else:
-                    future = message
-                    ready = []
-                    for index, (order, witness_json, parts) in zip(
-                        future.tag, future.result()
-                    ):
-                        state = states[index]
-                        if state.probe is not None:
-                            # Cache miss completing: the worker solved the
-                            # *canonical* instance.  Store the
-                            # canonical-space answer, then carry on with it
-                            # remapped onto the request's own labels —
-                            # exactly what a hit would have returned.
-                            canon_payload = (
-                                None if order is None else tuple(order),
-                                witness_json,
-                            )
-                            order, witness_json = state.probe.store(
-                                order, witness_json
-                            )
-                            # Retire the leader under the lock, then
-                            # fulfill every follower from the shared
-                            # canonical payload — each remapped through
-                            # its own probe's permutations.
-                            with coalesce_lock:
-                                leader_of.pop(state.coalesce_key, None)
-                                followers = state.followers
-                                state.followers = []
-                            for f_index, f_instance, f_probe in followers:
-                                f_probe.fulfill(canon_payload)
-                                ready.append(
-                                    _answer(f_index, f_instance, *f_probe.result())
-                                )
-                        states.pop(index, None)
-                        ready.append(
-                            _answer(
-                                index, state.ensemble, order, witness_json, parts
-                            )
-                        )
-                for result in ready:
+                if isinstance(message, ServeFuture):
+                    message = [
+                        settled
+                        for index, raw in zip(message.tag, message.result())
+                        for settled in front.settle(index, raw)
+                    ]
+                for index, raw in message:
+                    result = _result(
+                        index, raw, *shapes.pop(index), split, circular, certify
+                    )
                     completed += 1
                     if not ordered:
                         yield result
                         continue
-                    buffered[result.index] = result
+                    buffered[index] = result
                     while next_index in buffered:
                         yield buffered.pop(next_index)
                         next_index += 1
         finally:
+            stop.set()
             feeder.join(timeout=5.0)
 
     def _delta_stream(
@@ -945,17 +849,16 @@ class ServePool:
             outcomes = outcomes[len(outcomes) - len(batch):]
             session.acked.extend(frame for _, frame in batch)
             results = []
-            for (op, _), (order, witness_json) in zip(batch, outcomes):
-                if order is not None and op == "add":
+            for (op, _), raw in zip(batch, outcomes):
+                if raw[0] is not None and op == "add":
                     num_columns += 1
-                elif order is not None and op == "remove":
+                elif raw[0] is not None and op == "remove":
                     num_columns -= 1
                 self.metrics.counter("serve.delta_frames").inc()
                 results.append(
                     _result(
-                        len(session.acked) - len(batch) + len(results),
-                        order, witness_json, session.num_atoms, num_columns,
-                        1, "delta", circular, certify,
+                        len(session.acked) - len(batch) + len(results), raw,
+                        session.num_atoms, num_columns, "delta", circular, certify,
                     )
                 )
             return results
@@ -1077,34 +980,3 @@ class ServePool:
         self.metrics.gauge("serve.utilization").set(self.utilization())
         return self.metrics.snapshot()
 
-
-def _result(
-    index, order, witness_json, num_atoms, num_columns, parts, split,
-    circular, certify,
-) -> BatchResult:
-    """One stream answer, built as serial ``solve_many`` builds its own,
-    from the witness decoded off the JSON payload."""
-    witness = None
-    if certify and witness_json is not None:
-        from ..certify.certificates import certificate_from_json
-
-        witness = certificate_from_json(witness_json)
-    return _batch_result(
-        index, order, witness, num_atoms, num_columns, parts, split,
-        circular, certify,
-    )
-
-
-class _StreamState:
-    """Per-instance state of :meth:`ServePool.solve_stream` while in flight."""
-
-    __slots__ = ("ensemble", "probe", "followers", "coalesce_key")
-
-    def __init__(self, ensemble: Ensemble) -> None:
-        self.ensemble = ensemble
-        # Cache misses only: the miss's probe, and the duplicate requests
-        # that probed while it was in flight and ride its solve instead of
-        # dispatching their own.
-        self.probe = None
-        self.followers: list[tuple] = []
-        self.coalesce_key: tuple | None = None

@@ -433,6 +433,42 @@ class TestServeSubcommand:
                 json.dumps(result.certificate.to_json(), default=str)
             )
 
+    def test_serve_cache_matches_serial_cache(self, tmp_path, capsys):
+        import json
+        import random
+        import re
+
+        from repro.batch import solve_many
+        from repro.incremental import ResultCache
+        from repro.matrix import BinaryMatrix
+
+        rng = random.Random(5)
+
+        def relabeled(matrix):
+            rows = rng.sample(matrix, len(matrix))
+            perm = rng.sample(range(len(matrix[0])), len(matrix[0]))
+            return [[row[j] for j in perm] for row in rows]
+
+        matrices = []
+        for base in (self.GOOD, self.BAD):
+            matrices += [base, relabeled(base), relabeled(base)]
+        duplicates = len(matrices) - 2
+        lines = [{"id": f"m{i}", "matrix": m} for i, m in enumerate(matrices)]
+        path = self._write_jsonl(tmp_path, lines)
+        assert main(["serve", path, "--cache", "8", "--processes", "1", "--certify"]) == 1
+        captured = capsys.readouterr()
+        expected = solve_many(
+            [BinaryMatrix(m).row_ensemble() for m in matrices],
+            certify=True,
+            cache=ResultCache(8),
+        )
+        assert captured.out.splitlines() == [
+            json.dumps(dict(r.summary(), id=f"m{r.index}"), default=str)
+            for r in expected
+        ]
+        stats = re.search(r"cache: (\d+) hits, \d+ misses \((\d+) coalesced", captured.err)
+        assert int(stats.group(1)) + int(stats.group(2)) == duplicates
+
     def test_serve_stdin_and_unordered(self, monkeypatch, capsys):
         import io
         import json

@@ -472,6 +472,37 @@ class TestCli:
         assert lint_main(["--strict", str(root)]) == 0
         capsys.readouterr()
 
+    def test_update_baseline_keeps_justifications(self, tmp_path, capsys):
+        # Regenerating a baseline must not overwrite the justification of
+        # an entry that still matches a finding with a TODO placeholder.
+        from repro.cli import lint_main
+
+        root = self._bad_tree(tmp_path)
+        baseline = root / "lint-baseline.json"
+        justification = "fixture: the assert is the point of this module"
+        baseline.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "entries": [
+                        {
+                            "rule": "exception-contract",
+                            "path": "src/repro/m.py",
+                            "context": "f",
+                            "justification": justification,
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert lint_main(["--strict", str(root)]) == 0  # the entry matches
+        assert lint_main(["--update-baseline", str(root)]) == 0
+        (entry,) = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
+        assert entry["justification"] == justification
+        assert lint_main(["--strict", str(root)]) == 0
+        capsys.readouterr()
+
     def test_rules_selection_and_unknown_rule(self, tmp_path, capsys):
         from repro.cli import lint_main
 
