@@ -76,9 +76,12 @@ class BatchResult:
     #: structured outcome: ``"realized"`` or ``"rejected"`` (never a bare
     #: ``None`` order with no explanation)
     status: str = ""
-    #: with ``certify=True``: an ``OrderCertificate`` for realized instances,
-    #: a checkable ``TuckerWitness`` for rejected ones; ``None`` otherwise
-    certificate: object | None = None
+    #: with ``certify=True``: the property a realized instance's certificate
+    #: asserts, ``"consecutive"`` or ``"circular"``; ``""`` otherwise
+    kind: str = ""
+    #: with ``certify=True``: a rejected instance's checkable
+    #: ``TuckerWitness``; ``None`` otherwise
+    witness: object | None = None
     #: what happened to component splitting for this instance:
     #: ``"components"`` (linear instance, split applied — ``parts`` counts the
     #: pieces) or ``"circular-skip"`` (a circular instance is *never* split:
@@ -87,6 +90,22 @@ class BatchResult:
     #: trivial); a cache-fronted call, serial or pooled, records ``"cache"``
     #: and a delta stream ``"delta"``: both solve whole instances
     split: str = ""
+
+    @property
+    def certificate(self):
+        """With ``certify=True``: an ``OrderCertificate`` for a realized
+        instance, its ``TuckerWitness`` for a rejected one; ``None`` otherwise.
+
+        A realized instance's certificate is built from ``order`` on each
+        access and not kept, so a held answer stores its layout once.
+        """
+        if self.order is None:
+            return self.witness
+        if not self.kind:
+            return None
+        from .certify.certificates import OrderCertificate
+
+        return OrderCertificate(self.kind, tuple(self.order))
 
     @property
     def ok(self) -> bool:
@@ -106,9 +125,7 @@ class BatchResult:
         ``OrderCertificate.to_json``).
         """
         key = label_key if label_key is not None else _json_label
-        certificate = (
-            self.certificate.to_json() if self.certificate is not None else None
-        )
+        certificate = self.certificate
         return {
             "index": self.index,
             "ok": self.ok,
@@ -118,7 +135,7 @@ class BatchResult:
             "num_columns": self.num_columns,
             "parts": self.parts,
             "split": self.split,
-            "certificate": certificate,
+            "certificate": None if certificate is None else certificate.to_json(),
         }
 
 
@@ -396,19 +413,16 @@ def _result(
     """The one builder of a :class:`BatchResult`, for every exit.
 
     ``raw`` is ``(order, witness_json, parts)`` as :func:`_solve_instance`
-    returns it.  With ``certify`` a realized instance gets an
-    ``OrderCertificate`` of its layout, a rejected one its witness.
+    returns it.  With ``certify`` a realized instance records the kind of
+    its ``OrderCertificate`` (built from the layout on access), a rejected
+    one its witness.
     """
     order, witness_json, parts = raw
-    certificate = None
-    if certify:
-        from .certify.certificates import OrderCertificate, certificate_from_json
+    witness = None
+    if certify and witness_json is not None:
+        from .certify.certificates import certificate_from_json
 
-        if order is not None:
-            kind = "circular" if circular else "consecutive"
-            certificate = OrderCertificate(kind, tuple(order))
-        elif witness_json is not None:
-            certificate = certificate_from_json(witness_json)
+        witness = certificate_from_json(witness_json)
     return BatchResult(
         index=index,
         order=None if order is None else list(order),
@@ -416,6 +430,7 @@ def _result(
         num_columns=num_columns,
         parts=parts,
         status="realized" if order is not None else "rejected",
-        certificate=certificate,
+        kind=("circular" if circular else "consecutive") if certify else "",
+        witness=witness,
         split=split,
     )

@@ -6,9 +6,8 @@ retires, and the caller wants the updated layout (or a proof that the new
 column cannot join).  :class:`IncrementalSolver` promotes the in-repo
 PQ-tree baseline (:mod:`repro.pqtree`) from test oracle to production
 path: the tree *is* the session state, and each ``add_column`` is a single
-Booth–Lueker reduction — ``O(n)`` on the simple variant — instead of an
-``O(n·m)`` re-solve (see :func:`repro.pram.costmodel.incremental_update_work`
-and DESIGN.md, Substitution 9).
+Booth–Lueker reduction, which visits only the column's pertinent subtree,
+instead of an ``O(n·m)`` re-solve (DESIGN.md, Substitution 9).
 
 Semantics
 ---------
@@ -19,11 +18,13 @@ Semantics
   by the existing :mod:`repro.certify` narrower from the current column
   set plus the offending column.  There is no "rejected session" state to
   recover from.
-* ``remove_column`` deletes the first matching occurrence and rebuilds the
-  tree by replaying the surviving columns from scratch (C1P/circular-ones
+* ``remove_column`` deletes the first matching occurrence: the tree keeps
+  one journal entry per accepted column, rolls back to just before the
+  victim and replays only the columns accepted after it (C1P/circular-ones
   are closed under column deletion, so the replay cannot fail).  The
-  replay is what makes the state *deterministic in the accepted history*:
-  a crashed serve worker re-applies the session's delta log and lands on a
+  state is therefore *deterministic in the accepted history*: it is always
+  a fresh tree reduced by the live columns in arrival order, so a crashed
+  serve worker re-applies the session's live columns and lands on a
   byte-identical tree (``tests/test_serve_stress.py``).
 * Circular mode rides Tucker's pivot complementation: fix the pivot atom
   (the first atom of the universe) and complement every added column
@@ -45,6 +46,7 @@ from typing import Hashable, Iterable
 
 from ..ensemble import Ensemble
 from ..errors import IncrementalError, PQTreeError
+from ..obs.trace import current_tracer
 from ..pqtree.pqtree import PQTree
 
 Atom = Hashable
@@ -203,28 +205,40 @@ class IncrementalSolver:
         )
 
     def remove_column(self, column: Iterable[Atom]) -> DeltaOutcome:
-        """Retire the first accepted occurrence of ``column`` and rebuild.
+        """Retire the first accepted occurrence of ``column`` by rollback.
 
         Raises :class:`~repro.errors.IncrementalError` when no accepted
-        column matches.  The rebuild replays the surviving columns in
-        arrival order through a fresh tree — deletion cannot invalidate a
-        realizable set, so every replayed reduction succeeds.
+        column matches.  The tree journals one entry per accepted column,
+        so it rolls back to the state just before the victim
+        (:meth:`~repro.pqtree.PQTree.rollback`) and replays only the
+        columns accepted after it, in arrival order — deletion cannot
+        invalidate a realizable set, so every replayed reduction succeeds.
+        The result is the tree a fresh replay of the surviving columns
+        would build.  One ``pqtree.replay`` span covers the rollback and
+        the replay, with the victim's ``position`` and the number of
+        columns ``replayed``.
         """
         col = self._validated(column)
+        columns = self._history.columns
         try:
-            position = self._history.columns.index(col)
+            position = columns.index(col)
         except ValueError:
             raise IncrementalError(
                 "remove_column: no accepted column matches the given atom set"
             ) from None
-        del self._history.columns[position]
-        self._tree = PQTree(self._atoms)
-        for accepted in self._history.columns:
-            if not self._tree.reduce(self._transform(accepted)):
-                raise PQTreeError(
-                    "replay of accepted columns failed after a removal; "
-                    "the property is closed under deletion, so this is a bug"
-                )
+        later = columns[position + 1 :]
+        with current_tracer().span(
+            "pqtree.replay", position=position, replayed=len(later)
+        ):
+            self._tree.rollback(position)
+            del columns[position:]
+            for accepted in later:
+                if not self._tree.reduce(self._transform(accepted)):
+                    raise PQTreeError(
+                        "replay of accepted columns failed after a removal; "
+                        "the property is closed under deletion, so this is a bug"
+                    )
+                columns.append(accepted)
         return DeltaOutcome(
             op=OP_REMOVE,
             accepted=True,

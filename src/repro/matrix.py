@@ -8,16 +8,19 @@ are exposed here.
 
 :class:`BinaryMatrix` wraps a NumPy array and converts to/from the
 :class:`~repro.ensemble.Ensemble` representation used by the solvers.
+NumPy is imported only when a matrix is built or scanned: nothing else in
+``repro`` uses it, so ``import repro`` neither needs nor loads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .ensemble import Ensemble, verify_linear_layout
 from .errors import InvalidEnsembleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BinaryMatrix"]
 
@@ -39,6 +42,8 @@ class BinaryMatrix:
         row_names: Sequence[str] | None = None,
         col_names: Sequence[str] | None = None,
     ) -> None:
+        import numpy as np
+
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise InvalidEnsembleError("matrix data must be two-dimensional")
@@ -104,6 +109,8 @@ class BinaryMatrix:
         a one; a consecutive-ones layout of this ensemble is a row permutation
         making every column's ones adjacent.
         """
+        import numpy as np
+
         cols = []
         for j in range(self.shape[1]):
             cols.append(frozenset(self.row_names[i] for i in np.flatnonzero(self._data[:, j])))
@@ -117,6 +124,8 @@ class BinaryMatrix:
         making every row's ones adjacent (the physical-mapping view of
         Section 1.1: rows are clones, columns are STS probes).
         """
+        import numpy as np
+
         rows = []
         for i in range(self.shape[0]):
             rows.append(frozenset(self.col_names[j] for j in np.flatnonzero(self._data[i, :])))
@@ -152,6 +161,8 @@ class BinaryMatrix:
     # ------------------------------------------------------------------ #
     def columns_are_consecutive(self) -> bool:
         """True when, in the current row order, every column's ones are adjacent."""
+        import numpy as np
+
         for j in range(self.shape[1]):
             ones = np.flatnonzero(self._data[:, j])
             if len(ones) > 1 and ones[-1] - ones[0] != len(ones) - 1:
@@ -160,6 +171,8 @@ class BinaryMatrix:
 
     def rows_are_consecutive(self) -> bool:
         """True when, in the current column order, every row's ones are adjacent."""
+        import numpy as np
+
         for i in range(self.shape[0]):
             ones = np.flatnonzero(self._data[i, :])
             if len(ones) > 1 and ones[-1] - ones[0] != len(ones) - 1:

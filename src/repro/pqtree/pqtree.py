@@ -8,14 +8,24 @@ such permutation remains.
 The implementation applies the classical templates (P2–P6, Q2, Q3) in a
 recursive bottom-up pass over the pertinent subtree.  Partial nodes are
 normalised so that their full side comes first, which keeps the splicing
-logic short.  Each reduction costs ``O(n)`` (the simple, non-amortized
-variant); correctness — not the amortized constant — is what the baseline is
-used for.
+logic short.  Nodes are labelled full, empty or partial by testing their
+leaf bitmasks (:mod:`repro.pqtree.nodes`) against the mask of ``S``, and
+the pertinent root is found the same way, so a reduction visits the
+pertinent subtree, the path above it and the children of the nodes on that
+path — never the rest of the tree.  It is the simple, non-amortized
+variant: a Q-node's children are scanned in full, not through sibling
+pointers.
 
 The templates rewrite ``children`` lists of the existing nodes as they go,
 and a reduction can fail above a node it has already rewritten.  Every
-rewrite is therefore logged, and a failed reduction replays the log
-backwards, so it leaves the tree exactly as it found it.
+rewrite replaces a list (no logged list is ever mutated in place) and is
+logged with the node's old mask, the pertinent root's slot in its parent
+included; a failed reduction — or one that raises — replays the log
+backwards, so it leaves the tree exactly as it found it.  An accepted
+reduction keeps its log as one journal entry, with the root the tree had
+before it, trivial reductions included: :meth:`PQTree.rollback` replays
+the journal backwards to the tree after the first ``k`` accepted
+reductions.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from ..errors import PQTreeError
-from .nodes import PNode, PQLeaf, PQNode, QNode, wrap_children
+from .nodes import PNode, PQLeaf, PQNode, QNode, union_mask, wrap_children
 
 __all__ = ["PQTree"]
 
@@ -43,16 +53,18 @@ class PQTree:
         values = list(ground_set)
         if len(set(values)) != len(values):
             raise PQTreeError("ground set contains duplicates")
-        self._leaves = {v: PQLeaf(v) for v in values}
+        self._leaves = {v: PQLeaf(v, 1 << i) for i, v in enumerate(values)}
         if not values:
             self.root: PQNode | None = None
         elif len(values) == 1:
             self.root = self._leaves[values[0]]
         else:
             self.root = PNode([self._leaves[v] for v in values])
-        #: ``(node, previous children list)`` per rewrite of the reduction
-        #: in progress; replayed backwards when it fails.
-        self._undo: list[tuple[PQNode, list[PQNode]]] = []
+        #: ``(node, previous children list, previous mask)`` per rewrite of
+        #: the reduction in progress; replayed backwards when it fails.
+        self._undo: list[tuple[PQNode, list[PQNode], int]] = []
+        #: one ``(root before, rewrites)`` entry per accepted reduction.
+        self._journal: list[tuple[PQNode | None, list]] = []
 
     # ------------------------------------------------------------------ #
     @property
@@ -74,95 +86,104 @@ class PQTree:
 
         Returns ``True`` on success.  On failure every rewrite the attempt
         made is undone — the tree, and so its frontier, is exactly as before
-        the call — and ``False`` is returned.
+        the call — and ``False`` is returned; a reduction that raises is
+        undone the same way.  Each accepted reduction, trivial or not, adds
+        one journal entry (see :meth:`rollback`).
         """
         s = set(subset)
-        unknown = s - set(self._leaves)
-        if unknown:
-            raise PQTreeError(f"subset contains unknown elements: {sorted(map(repr, unknown))}")
-        if len(s) <= 1 or len(s) >= len(self._leaves) or self.root is None:
-            return True
-        counts: dict[int, int] = {}
-        self._count_full(self.root, s, counts)
-        pertinent_root, parent, child_index = self._find_pertinent_root(s, counts)
-        try:
-            new_node, _label = self._reduce_node(
-                pertinent_root, s, counts, is_root=True
-            )
-        except _Fail:
-            for node, children in reversed(self._undo):
-                node.children = children
-            return False
-        finally:
-            self._undo.clear()
-        new_node = _normalise(new_node)
-        if parent is None:
-            self.root = new_node
-        else:
-            parent.children[child_index] = new_node
+        target = 0
+        for value in s:
+            leaf = self._leaves.get(value)
+            if leaf is None:
+                unknown = s - self._leaves.keys()
+                raise PQTreeError(
+                    f"subset contains unknown elements: {sorted(map(repr, unknown))}"
+                )
+            target |= leaf.mask
+        root = self.root
+        undo = self._undo = []
+        if 1 < len(s) < len(self._leaves):
+            pertinent_root, parent, index = self._find_pertinent_root(target)
+            try:
+                new_node, _label = self._reduce_node(pertinent_root, target, is_root=True)
+                new_node = _normalise(new_node)
+                if parent is None:
+                    self.root = new_node
+                else:
+                    children = list(parent.children)
+                    children[index] = new_node
+                    self._set_children(parent, children)
+            except _Fail:
+                _restore(undo)
+                return False
+            except BaseException:
+                _restore(undo)
+                self.root = root
+                raise
+        self._journal.append((root, undo))
         return True
+
+    def rollback(self, k: int) -> None:
+        """Undo every accepted reduction after the first ``k``.
+
+        The tree is left exactly as it was after its first ``k`` accepted
+        reductions — the same nodes, children and masks — and later
+        reductions replayed onto it land where a fresh tree reducing the
+        same subsets in the same order would.
+        """
+        if not 0 <= k <= len(self._journal):
+            raise PQTreeError(
+                f"cannot roll back to {k} of {len(self._journal)} accepted reductions"
+            )
+        while len(self._journal) > k:
+            root, undo = self._journal.pop()
+            _restore(undo)
+            self.root = root
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _count_full(self, node: PQNode, s: set, counts: dict[int, int]) -> int:
-        if isinstance(node, PQLeaf):
-            c = 1 if node.value in s else 0
-        else:
-            c = sum(self._count_full(child, s, counts) for child in node.children)
-        counts[id(node)] = c
-        return c
-
-    def _find_pertinent_root(self, s: set, counts: dict[int, int]):
-        """The deepest node whose subtree contains every element of ``s``.
+    def _find_pertinent_root(self, target: int):
+        """The deepest node whose leaves include every bit of ``target``.
 
         Returns ``(node, parent, index of node in parent.children)``.
         """
         node = self.root
         parent: PQNode | None = None
         index = -1
-        target = len(s)
         while True:
-            if isinstance(node, PQLeaf):
-                return node, parent, index
-            nxt = None
             for i, child in enumerate(node.children):
-                if counts[id(child)] == target:
-                    nxt = (i, child)
+                if child.mask & target == target:
+                    parent, index, node = node, i, child
                     break
-            if nxt is None:
+            else:
                 return node, parent, index
-            parent, index, node = node, nxt[0], nxt[1]
 
     # -- template machinery ---------------------------------------------- #
     def _set_children(self, node: PQNode, children: list[PQNode]) -> None:
-        """Rewrite ``node``'s children, logging the old list for undo."""
-        self._undo.append((node, node.children))
+        """Rewrite ``node``'s children and mask, logging the old ones for undo."""
+        self._undo.append((node, node.children, node.mask))
         node.children = children
+        node.mask = union_mask(children)
 
     def _reduce_node(
-        self, node: PQNode, s: set, counts: dict[int, int], *, is_root: bool
+        self, node: PQNode, target: int, *, is_root: bool
     ) -> tuple[PQNode, str]:
-        """Apply the reduction templates to ``node``.
+        """Apply the reduction templates to ``node``, the pertinent root or
+        a partial node below it.
 
         Returns the (possibly replaced) node and its label.  PARTIAL results
         are always Q-nodes whose children are ordered full side first.
         """
-        count = counts[id(node)]
-        if count == 0:
-            return node, EMPTY
-        if isinstance(node, PQLeaf):
-            return node, FULL
-
         processed: list[tuple[PQNode, str]] = []
         for child in node.children:
-            c = counts[id(child)]
-            if c == 0:
+            inside = child.mask & target
+            if not inside:
                 processed.append((child, EMPTY))
-            elif c == counts_total(child, counts):
+            elif inside == child.mask:
                 processed.append((child, FULL))
             else:
-                processed.append(self._reduce_node(child, s, counts, is_root=False))
+                processed.append(self._reduce_node(child, target, is_root=False))
 
         if isinstance(node, PNode):
             return self._reduce_p(node, processed, is_root)
@@ -325,11 +346,11 @@ class PQTree:
         return [_normalise(c) for c in new_children]
 
 
-def counts_total(node: PQNode, counts: dict[int, int]) -> int:
-    """Number of leaves below ``node`` (memo-free; trees are small)."""
-    if isinstance(node, PQLeaf):
-        return 1
-    return sum(counts_total(child, counts) for child in node.children)
+def _restore(undo: list[tuple[PQNode, list[PQNode], int]]) -> None:
+    """Replay a rewrite log backwards: each node gets its old children and mask."""
+    for node, children, mask in reversed(undo):
+        node.children = children
+        node.mask = mask
 
 
 def _normalise(node: PQNode) -> PQNode:

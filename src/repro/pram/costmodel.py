@@ -40,7 +40,6 @@ __all__ = [
     "wire_dispatch_bytes",
     "pool_startup_work",
     "serve_fleet_dispatch_work",
-    "incremental_update_work",
     "parallel_fanout_worthwhile",
     "batch_split_savings",
     "paper_depth_bound",
@@ -224,26 +223,6 @@ def serve_fleet_dispatch_work(
     return pool_startup_work(workers, cold=cold) + max(0, instances) * (
         (per_task + 7) // 8
     )
-
-
-def incremental_update_work(n: int, m: int, *, op: str = "add") -> int:
-    """Work charged for one delta against a live session of ``m`` columns.
-
-    An ``add`` is a single Booth–Lueker reduction against the current
-    tree: the pertinent subtree is bounded by the ``n`` leaves plus the
-    internal nodes (at most ``n`` again), so the charge is ``2n`` — *not*
-    a function of ``m``, which is the whole point of keeping the session
-    warm.  A ``remove`` pays for the closed-under-deletion rebuild: the
-    surviving ``m - 1`` columns replay one reduction each.  ``open``
-    charges the fresh universal tree.
-    """
-    if op == "add":
-        return 2 * max(1, n)
-    if op == "remove":
-        return max(0, m - 1) * 2 * max(1, n) + max(1, n)
-    if op == "open":
-        return max(1, n)
-    raise ValueError(f"unknown delta op {op!r}")
 
 
 # ---------------------------------------------------------------------- #

@@ -31,8 +31,9 @@ Robustness model
   repeatedly crashes its worker is failed with
   :class:`~repro.errors.ServeError` after ``max_task_retries``
   re-dispatches instead of crash-looping the pool.  A delta bundle is the
-  one exception to "nothing is re-packed": its session's acked frame log
-  is replayed ahead of it on the new worker.
+  one exception to "nothing is re-packed": its session's replay log (the
+  OPEN frame and the live columns' add frames) is replayed ahead of it on
+  the new worker.
 * **At-least-once dispatch, exactly-once completion.**  A worker killed
   *after* reporting may leave a duplicate re-dispatch behind; results for
   bundles no longer pending are dropped, so every future resolves exactly
@@ -101,8 +102,8 @@ def _serve_bundle(buf, args, sessions) -> list:
     worker-local delta-session table: incremental solvers keyed by session
     id, populated by ``C1PD`` OPEN frames and mutated in place by
     ADD/REMOVE frames.  It lives in this process only — the parent's
-    replay log (acked frames per session) is the durable copy that
-    rebuilds it on a respawned worker.
+    replay log (the OPEN frame and the live add frames per session) is
+    the durable copy that rebuilds it on a respawned worker.
     """
     circular, kernel, engine, split, certify = args
     # Copy the entry payloads out of the segment before it is closed:
@@ -244,27 +245,46 @@ class _DeltaSession:
     """Parent-side state of one incremental delta session.
 
     The pool pins a session to one worker (its in-process PQ-tree lives
-    there) and keeps the *acked* frame log — every delta frame whose
-    result has been delivered to the caller.  When the pinned worker
-    dies, the next bundle (or the crashed one's re-dispatch) is prefixed
-    with the acked log re-marked as replay frames, which rebuilds the
-    worker-local solver byte-deterministically before the new deltas
-    apply.
+    there) and keeps a *replay log* of answered frames: the OPEN frame,
+    then the add frame of each column still live, in arrival order
+    (:meth:`ack`).  The worker's tree is always a fresh tree reduced by
+    the live columns in arrival order — refusals leave no trace and a
+    remove rebuilds exactly that — so replaying the log rebuilds it byte
+    for byte.  When the pinned worker dies, the next bundle (or the
+    crashed one's re-dispatch) is prefixed with the log re-marked as
+    replay frames, before the new deltas apply.
     """
 
-    __slots__ = ("session_id", "num_atoms", "worker", "acked")
+    __slots__ = ("session_id", "num_atoms", "worker", "log")
 
     def __init__(self, session_id: int) -> None:
         self.session_id = session_id
         self.num_atoms = 0
         self.worker = None
-        self.acked: list[bytes] = []
+        #: ``(column mask, frame)``; the OPEN frame first, with mask ``None``
+        self.log: list[tuple[int | None, bytes]] = []
+
+    def ack(self, op: str, mask: int | None, frame: bytes, accepted: bool) -> None:
+        """Fold one answered delta into the replay log.
+
+        Refused deltas are dropped.  An accepted remove retired the first
+        live column with its mask, so it drops that column's add frame.
+        """
+        if op == OP_OPEN:
+            self.log = [(None, frame)]
+        elif accepted and op == OP_ADD:
+            self.log.append((mask, frame))
+        elif accepted:
+            for i, (logged, _) in enumerate(self.log):
+                if logged == mask:
+                    del self.log[i]
+                    break
 
 
 def _replayed(session: _DeltaSession, entries: list[tuple[int, bytes]]) -> bytes:
-    """A bundle frame: ``session``'s acked log as replay frames, then ``entries``."""
+    """A bundle frame: ``session``'s replay log as replay frames, then ``entries``."""
     return wire.pack_bundle(
-        [(_K_DELTA, wire.mark_delta_replay(acked)) for acked in session.acked]
+        [(_K_DELTA, wire.mark_delta_replay(frame)) for _, frame in session.log]
         + entries
     )
 
@@ -499,10 +519,10 @@ class ServePool:
                     else:
                         # The session's worker is gone (or this is the
                         # first bundle): pin afresh and rebuild its state
-                        # by replaying the acked frame log ahead of the
-                        # new deltas, in one bundle, on the new worker.
+                        # by replaying the session's replay log ahead of
+                        # the new deltas, in one bundle, on the new worker.
                         worker = self._fleet.pick()
-                        if session.acked:
+                        if session.log:
                             frame = _replayed(session, entries)
                             self.metrics.counter("serve.delta_replays").inc()
                     session.worker = worker
@@ -595,8 +615,8 @@ class ServePool:
         """Before a re-dispatch: rebuild a delta bundle on its new worker.
 
         A delta bundle cannot be re-shipped verbatim: the crashed worker
-        held the session's solver.  The segment is rebuilt with the acked
-        frame log (marked as replay) ahead of the bundle's own frames, so
+        held the session's solver.  The segment is rebuilt with the replay
+        log (marked as replay) ahead of the bundle's own frames, so
         the target worker reconstructs the session and then applies the
         un-answered deltas for real.
         """
@@ -818,9 +838,11 @@ class ServePool:
         is in flight, because frame ``k+1``'s outcome depends on the
         worker-side state left by frame ``k``.  ``chunksize`` frames ride
         per bundle (default 1: lowest per-delta latency); each bundle's
-        frames are appended to the session's acked log only after its
-        results arrive, so a crash mid-bundle replays exactly the acked
-        prefix plus the unanswered bundle.
+        frames are folded into the session's replay log only after its
+        results arrive, so a crash mid-bundle replays exactly the live
+        columns plus the unanswered bundle.  Layouts come back as atom
+        indices and are mapped through one ``tuple(range(n))`` per
+        session, so every answer shares its int objects.
         """
         if chunksize is None:
             chunksize = 1
@@ -830,12 +852,13 @@ class ServePool:
         stream_trace = tracer if tracer.enabled else None
         session = _DeltaSession(next(self._session_counter))
         self.metrics.counter("serve.delta_sessions").inc()
-        num_columns = 0
+        labels: tuple = ()
+        answered = num_columns = 0
 
-        def _flush(batch: list[tuple[str, bytes]]) -> list[BatchResult]:
-            nonlocal num_columns
+        def _flush(batch: list[tuple[str, int | None, bytes]]) -> list[BatchResult]:
+            nonlocal answered, num_columns
             future = self._submit_bundle(
-                [(_K_DELTA, frame) for _, frame in batch],
+                [(_K_DELTA, frame) for _, _, frame in batch],
                 (circular, kernel, engine, "delta", certify),
                 done_q=None,
                 tag=None,
@@ -844,26 +867,30 @@ class ServePool:
                 session=session,
             )
             outcomes = future.result()
-            # A crash-recovery re-dispatch prepends replayed acked frames;
-            # only the trailing outcomes answer this bundle.
+            # A crash-recovery re-dispatch prepends the replay log; only
+            # the trailing outcomes answer this bundle.
             outcomes = outcomes[len(outcomes) - len(batch):]
-            session.acked.extend(frame for _, frame in batch)
             results = []
-            for (op, _), raw in zip(batch, outcomes):
-                if raw[0] is not None and op == "add":
-                    num_columns += 1
-                elif raw[0] is not None and op == "remove":
-                    num_columns -= 1
+            for (op, mask, frame), (order, witness_json, parts) in zip(batch, outcomes):
+                accepted = order is not None
+                session.ack(op, mask, frame, accepted)
+                if accepted:
+                    order = [labels[i] for i in order]
+                    if op == OP_ADD:
+                        num_columns += 1
+                    elif op == OP_REMOVE:
+                        num_columns -= 1
                 self.metrics.counter("serve.delta_frames").inc()
                 results.append(
                     _result(
-                        len(session.acked) - len(batch) + len(results), raw,
+                        answered, (order, witness_json, parts),
                         session.num_atoms, num_columns, "delta", circular, certify,
                     )
                 )
+                answered += 1
             return results
 
-        batch: list[tuple[str, bytes]] = []
+        batch: list[tuple[str, int | None, bytes]] = []
         opened = False
         for item in deltas:
             try:
@@ -885,6 +912,8 @@ class ServePool:
                         f"a session needs a positive int atom count, got {n!r}"
                     )
                 session.num_atoms = n
+                labels = tuple(range(n))
+                mask = None
                 flags = 0
                 if circular:
                     flags |= wire.DELTA_FLAG_CIRCULAR
@@ -909,18 +938,19 @@ class ServePool:
                             f"column atom {atom!r} outside the session "
                             f"universe 0..{session.num_atoms - 1}"
                         )
+                mask = mask_from_indices(column)
                 frame = wire.pack_delta(
                     wire.DELTA_ADD if op == OP_ADD else wire.DELTA_REMOVE,
                     session.session_id,
                     session.num_atoms,
-                    mask_from_indices(column),
+                    mask,
                 )
             else:
                 raise IncrementalError(
                     f"unknown delta op {op!r}; expected one of "
                     f"{OP_OPEN!r}, {OP_ADD!r}, {OP_REMOVE!r}"
                 )
-            batch.append((op, frame))
+            batch.append((op, mask, frame))
             if len(batch) >= chunksize:
                 yield from _flush(batch)
                 batch = []

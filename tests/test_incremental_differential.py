@@ -36,6 +36,7 @@ from repro.core import cycle_realization, path_realization
 from repro.ensemble import Ensemble
 from repro.errors import IncrementalError
 from repro.incremental import DeltaOutcome, IncrementalSolver
+from repro.pqtree import PQTree
 # Differential-coverage binding: the incremental layer's fast paths are
 # the PQ-tree reduction and the session solver wrapped around it.
 import repro.incremental.solver  # noqa: F401
@@ -146,6 +147,34 @@ def test_rejected_adds_leave_state_untouched(case):
             assert solver.columns == columns_before
 
 
+@given(delta_streams())
+def test_remove_lands_on_a_fresh_replay_of_the_survivors(case):
+    """A remove rolls the session's tree back to just before the victim and
+    replays the later columns; its frontier must be that of a fresh
+    ``PQTree`` reducing the surviving columns in arrival order (each
+    complemented around the pivot atom in circular mode)."""
+    n, circular, deltas = case
+    atoms = tuple(range(n))
+    solver = IncrementalSolver(atoms, circular=circular)
+    live: list[frozenset] = []
+    for op, column in deltas:
+        column = frozenset(column)
+        if op == "add":
+            if solver.add_column(column).accepted:
+                live.append(column)
+            continue
+        if column not in live:
+            continue
+        solver.remove_column(column)
+        live.remove(column)
+        fresh = PQTree(atoms)
+        for col in live:
+            if circular and atoms[0] in col:
+                col = frozenset(atoms) - col
+            assert fresh.reduce(col)
+        assert solver.layout() == tuple(fresh.frontier())
+
+
 def test_pool_delta_stream_matches_direct_solver():
     """``solve_stream(incremental=True)`` is the solver, worker-side."""
     import random
@@ -253,3 +282,43 @@ def test_delta_stream_requires_exact_int_atoms(deltas):
     with ServePool(1) as pool:
         with pytest.raises(IncrementalError, match="int|outside"):
             list(pool.solve_stream(deltas, incremental=True))
+
+
+def test_delta_answers_hold_their_layout_once():
+    """A served delta answer keeps one list of shared int labels and no
+    certificate copy: the answers of a certified 300-atom session through a
+    real pool retain under 3.5 KB each (the layout list alone is 2.4 KB)."""
+    import gc
+    import random
+    import tracemalloc
+
+    from repro.serve import ServePool
+
+    n = 300
+    rng = random.Random(23)
+    hidden = list(range(n))
+    rng.shuffle(hidden)
+    deltas, live = [("open", n)], []
+    for _ in range(240):
+        if len(live) > 30 or (live and rng.random() < 0.4):
+            deltas.append(("remove", live.pop(rng.randrange(len(live)))))
+        else:
+            start = rng.randrange(n - 2)
+            column = tuple(sorted(hidden[start : start + rng.randint(2, 40)]))
+            deltas.append(("add", column))
+            live.append(column)
+    with ServePool(1) as pool:
+        list(pool.solve_stream(deltas[:3], incremental=True, certify=True))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            results = list(pool.solve_stream(deltas, incremental=True, certify=True))
+            assert all(r.ok and r.certificate is not None for r in results)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del results
+            gc.collect()
+            per_answer = (held - tracemalloc.get_traced_memory()[0]) / len(deltas)
+        finally:
+            tracemalloc.stop()
+    assert per_answer < 3500, f"{per_answer:.0f} B retained per answer"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,3 +144,20 @@ def test_property_transpose_swaps_conventions(rows, cols, seed):
     assert sorted(map(sorted, (tuple(sorted(map(str, c))) for c in m.row_ensemble().columns))) == sorted(
         map(sorted, (tuple(sorted(map(str, c))) for c in t.column_ensemble().columns))
     )
+
+
+def test_package_and_cli_import_without_numpy():
+    """Only ``BinaryMatrix`` needs numpy, and it imports it when used: a
+    fresh interpreter imports ``repro`` and ``repro.cli`` without loading
+    it, so ``repro lint`` runs where numpy is not installed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, repro, repro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -182,3 +182,108 @@ def test_property_failed_reduce_leaves_frontier_unchanged(n, seed):
         before = tree.frontier()
         if not tree.reduce(rng.sample(range(n), rng.randint(2, n - 1))):
             assert tree.frontier() == before
+
+
+def _random_reductions(rng: random.Random, n: int, count: int):
+    """Subsets mixing intervals of a hidden order (mostly accepted) with
+    arbitrary ones (often refused), trivial sizes included."""
+    hidden = list(range(n))
+    rng.shuffle(hidden)
+    for _ in range(count):
+        if rng.random() < 0.6:
+            start = rng.randrange(n)
+            yield hidden[start : rng.randrange(start, n + 1)]
+        else:
+            yield rng.sample(range(n), rng.randint(0, n))
+
+
+def _shape(node):
+    """The tree's exact structure: node kinds, child order and leaf values."""
+    if not node.children:
+        return node.value
+    return (type(node).__name__, tuple(_shape(child) for child in node.children))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=1_000_000),
+)
+def test_property_node_masks_track_the_leaves_below(n, seed):
+    """After every reduce, accepted or refused, each node's mask is exactly
+    the set of ground-set elements below it."""
+    rng = random.Random(seed)
+    tree = PQTree(range(n))
+    bit = {value: 1 << i for i, value in enumerate(tree.ground_set)}
+    for subset in _random_reductions(rng, n, rng.randint(1, 40)):
+        tree.reduce(subset)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            expected = 0
+            for value in node.leaf_values():
+                expected |= bit[value]
+            assert node.mask == expected
+            stack.extend(node.children)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=20),
+    seed=st.integers(min_value=0, max_value=1_000_000),
+)
+def test_property_rollback_restores_the_tree_after_k_accepted_reductions(n, seed):
+    """``rollback(k)`` returns the tree to its state after its first ``k``
+    accepted reductions (refusals leave no journal entry), and replaying
+    the later subsets onto it lands where the original run did."""
+    rng = random.Random(seed)
+    tree = PQTree(range(n))
+    accepted, states = [], [(tree.frontier(), _shape(tree.root))]
+    for subset in _random_reductions(rng, n, rng.randint(1, 30)):
+        if tree.reduce(subset):
+            accepted.append(subset)
+            states.append((tree.frontier(), _shape(tree.root)))
+    for k in (rng.randint(0, len(accepted)), rng.randint(0, len(accepted))):
+        tree.rollback(k)
+        assert (tree.frontier(), _shape(tree.root)) == states[k]
+        for i, subset in enumerate(accepted[k:], start=k + 1):
+            assert tree.reduce(subset)
+            assert (tree.frontier(), _shape(tree.root)) == states[i]
+    with pytest.raises(PQTreeError):
+        tree.rollback(len(accepted) + 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduce_that_raises_leaves_tree_and_journal_unchanged(seed, monkeypatch):
+    """A reduction interrupted by any exception after some of its rewrites
+    undoes them: same tree, and no journal entry for it."""
+    rng = random.Random(seed)
+    n = 14
+    tree = PQTree(range(n))
+    accepted, states = [], [(tree.frontier(), _shape(tree.root))]
+    rewrite = PQTree._set_children
+    interrupted = 0
+    for subset in _random_reductions(rng, n, 60):
+        budget = [rng.randint(0, 4)]
+
+        def flaky(self, node, children):
+            if budget[0] == 0:
+                raise RuntimeError("interrupted")
+            budget[0] -= 1
+            rewrite(self, node, children)
+
+        monkeypatch.setattr(PQTree, "_set_children", flaky)
+        try:
+            ok = tree.reduce(subset)
+        except RuntimeError:
+            interrupted += 1
+            assert (tree.frontier(), _shape(tree.root)) == states[-1]
+            continue
+        finally:
+            monkeypatch.setattr(PQTree, "_set_children", rewrite)
+        if ok:
+            accepted.append(subset)
+            states.append((tree.frontier(), _shape(tree.root)))
+    assert interrupted
+    with pytest.raises(PQTreeError):
+        tree.rollback(len(accepted) + 1)
+    tree.rollback(0)
+    assert (tree.frontier(), _shape(tree.root)) == states[0]

@@ -30,6 +30,7 @@ from repro.ensemble import Ensemble
 from repro.errors import ServeError
 from repro.generators import non_c1p_ensemble, random_c1p_ensemble
 from repro.serve import ServePool
+from repro.serve import wire
 
 #: soak corpus size (acceptance bar: >= 1k instances through one warm pool).
 SOAK_INSTANCES = 1000
@@ -397,6 +398,37 @@ def _delta_summary(result) -> str:
     return json.dumps(payload, sort_keys=True, default=str)
 
 
+def _churn_script(seed: int, n: int = 16, length: int = 260, max_live: int = 10):
+    """A session of adds (many refused, some repeating a live column),
+    removes of live columns and refused removes, never holding more than
+    ``max_live`` columns."""
+    from repro.incremental import IncrementalSolver
+
+    rng = random.Random(seed)
+    solver = IncrementalSolver(range(n))
+    deltas: list[tuple] = [("open", n)]
+    refused: list[tuple[int, ...]] = []
+    for _ in range(length):
+        live = [tuple(sorted(c)) for c in solver.columns]
+        if live and (len(live) >= max_live or rng.random() < 0.35):
+            column = rng.choice(live)
+            solver.remove_column(column)
+        elif refused and rng.random() < 0.1:
+            column = rng.choice(refused)
+            if column in live:
+                solver.remove_column(column)
+        else:
+            column = tuple(sorted(rng.sample(range(n), rng.randint(2, n - 2))))
+            if live and rng.random() < 0.15:
+                column = rng.choice(live)
+            if not solver.add_column(column).accepted:
+                refused.append(column)
+            deltas.append(("add", column))
+            continue
+        deltas.append(("remove", column))
+    return deltas
+
+
 class TestDeltaSessionCrashRecovery:
     def test_sigkill_mid_session_replays_with_zero_divergence(self):
         # A worker killed between delta bundles takes the session's whole
@@ -499,3 +531,36 @@ class TestDeltaSessionCrashRecovery:
                 pool.solve_stream(_delta_script(73), incremental=True)
             )
             assert fresh and all(r.split == "delta" for r in fresh)
+
+    def test_replay_log_holds_only_the_live_columns(self):
+        # After ~200 deltas of churn the session holds at most 10 columns:
+        # the bundle that rebuilds it on a respawned worker carries the
+        # OPEN frame, the live columns' adds and the one unanswered delta,
+        # not every frame the session ever acked.
+        n, kill_after = 16, 200
+        deltas = _churn_script(74, n=n)
+        with ServePool(1) as clean:
+            expected = [
+                _delta_summary(r)
+                for r in clean.solve_stream(deltas, incremental=True, certify=True)
+            ]
+        with ServePool(1) as pool:
+            got, live, replay_bytes = [], None, None
+            stream = pool.solve_stream(deltas, incremental=True, certify=True)
+            for i, result in enumerate(stream):
+                got.append(_delta_summary(result))
+                if i == kill_after:
+                    live = result.num_columns
+                    os.kill(pool.worker_pids[0], signal.SIGKILL)
+                    deadline = time.monotonic() + 10
+                    while pool.respawn_count < 1 and time.monotonic() < deadline:
+                        time.sleep(0.05)
+                    before = pool.metrics_snapshot()["serve.dispatch_bytes"]["value"]
+                elif i == kill_after + 1:
+                    sent = pool.metrics_snapshot()["serve.dispatch_bytes"]["value"]
+                    replay_bytes = sent - before
+            assert pool.respawn_count >= 1
+        assert got == expected
+        assert live is not None and live <= 10
+        add_frame = wire.DELTA_HEADER.size + (n + 7) // 8
+        assert replay_bytes <= wire.bundle_size([add_frame] * (live + 2))
