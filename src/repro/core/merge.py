@@ -22,7 +22,7 @@ the untouched original realizations, which are free to try).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from ..ensemble import is_consecutive, is_circular_consecutive
 from ..errors import GraphError
@@ -172,137 +172,6 @@ def anchored_candidates(
     # More than two leaf members: by Theorem 7 the instance is not path
     # graphic; returning only the original order lets the caller fail.
     return candidates
-
-
-def _common_vertex_candidates(
-    order: Sequence[Atom],
-    constraint_sets: Sequence[frozenset],
-    crossing_sets: Sequence[frozenset],
-    *,
-    stats: SolverStats | None = None,
-    engine: str | None = None,
-) -> list[list[Atom]]:
-    """Orders in which the crossing columns admit a single split vertex.
-
-    This is the Section 4.2.2 procedure (GAP condition (2)): targets from the
-    (at most two) leaf members of the minimal decomposition are aligned to a
-    common vertex with Case C.  The original order is always included.
-    """
-    order = list(order)
-    candidates: list[list[Atom]] = [order]
-    live = [t for t in crossing_sets if t and len(t) < len(order)]
-    if not live or len(order) <= 2:
-        return candidates
-    built = _build_decomposition(order, constraint_sets, live, stats, engine)
-    if built is None:
-        return candidates
-    real, deco, target_eids = built
-    if len(target_eids) < 2:
-        return candidates
-
-    root_mid = deco.edge_to_member[real.e_eid]
-    minimal = deco.minimal_members([real.e_eid] + target_eids)
-    leaves = deco.subtree_leaves(minimal, root_mid)
-    planner = AlignmentPlanner(deco)
-
-    def emit(choices) -> None:
-        if choices is None:
-            return
-        composed = compose(deco, choices)
-        try:
-            new_order = real.order_from(composed)
-        except GraphError:  # pragma: no cover - defensive
-            return
-        if new_order not in candidates:
-            candidates.append(new_order)
-
-    targets_in = {
-        mid: [eid for eid in target_eids if deco.edge_to_member[eid] == mid]
-        for mid in deco.members
-    }
-
-    pools: list[list[int]] = []
-    if len(leaves) >= 1:
-        pools.append(targets_in[leaves[0]] or target_eids)
-    if len(leaves) >= 2:
-        pools.append(targets_in[leaves[1]] or target_eids)
-    if len(leaves) == 1:
-        # second target: any crossing chord outside the leaf member, nearest
-        # the root (the paper's "nearest to the root" special edge); fall back
-        # to every other crossing chord.
-        outside = [eid for eid in target_eids if deco.edge_to_member[eid] != leaves[0]]
-        pools.append(outside or [eid for eid in target_eids if eid not in pools[0]])
-
-    if len(pools) < 2 or not pools[0] or not pools[1]:
-        return candidates
-
-    combos = 0
-    for f_eid in pools[0]:
-        for g_eid in pools[1]:
-            if f_eid == g_eid:
-                continue
-            combos += 1
-            if combos > _MAX_TARGET_COMBOS:
-                break
-            if stats is not None:
-                stats.alignments += 1
-            emit(planner.adjacency(f_eid, g_eid))
-        if combos > _MAX_TARGET_COMBOS:
-            break
-    return candidates
-
-
-# ---------------------------------------------------------------------- #
-# concrete GAP / GAC checks
-# ---------------------------------------------------------------------- #
-def _feasible_split_positions(
-    order: Sequence[Atom],
-    type_a_parts: Sequence[set],
-    type_b_parts: Sequence[set],
-    type_c_sets: Sequence[frozenset],
-) -> list[int]:
-    """Split-vertex positions ``w`` satisfying GAP condition (2) for ``order``.
-
-    ``w`` ranges over ``0 .. len(order)`` and denotes the gap before position
-    ``w`` (so ``w = 0`` is the left end and ``w = len(order)`` the right end).
-    """
-    n = len(order)
-    pos = {a: i for i, a in enumerate(order)}
-    feasible = set(range(n + 1))
-
-    def span(atoms: Iterable[Atom]) -> tuple[int, int] | None:
-        ps = sorted(pos[a] for a in atoms if a in pos)
-        if not ps:
-            return None
-        if ps[-1] - ps[0] != len(ps) - 1:
-            return None
-        return ps[0], ps[-1]
-
-    for part in type_b_parts:
-        sp = span(part)
-        if sp is None:
-            return []
-        lo, hi = sp
-        feasible &= {lo, hi + 1}
-        if not feasible:
-            return []
-    for part in type_a_parts:
-        sp = span(part)
-        if sp is None:
-            return []
-        lo, hi = sp
-        feasible &= set(range(lo, hi + 2))
-        if not feasible:
-            return []
-    for col in type_c_sets:
-        sp = span(col)
-        if sp is None:
-            return []
-        lo, hi = sp
-        feasible -= set(range(lo + 1, hi + 1))
-        if not feasible:
-            return []
-    return sorted(feasible)
 
 
 # ---------------------------------------------------------------------- #

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .ensemble import Ensemble
 
@@ -286,15 +285,3 @@ def non_c1p_ensemble(
     atoms = core_ens.atoms + extra_atoms
     cols = core_ens.columns + tuple(extra_cols)
     return GeneratedInstance(Ensemble(atoms, cols), None, False)
-
-
-def interval_matrix_rows(
-    order: Sequence, columns: Sequence[frozenset]
-) -> list[list[int]]:
-    """Utility: the 0/1 matrix (rows = atoms in ``order``) of the given columns."""
-    pos = {a: i for i, a in enumerate(order)}
-    mat = [[0] * len(columns) for _ in order]
-    for j, col in enumerate(columns):
-        for a in col:
-            mat[pos[a]][j] = 1
-    return mat

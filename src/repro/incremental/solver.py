@@ -53,7 +53,7 @@ Atom = Hashable
 
 __all__ = ["DeltaOutcome", "IncrementalSolver"]
 
-#: delta operation names, as they appear on outcomes and wire frames.
+#: delta operation names, as they appear on outcomes and in delta streams.
 OP_OPEN, OP_ADD, OP_REMOVE = "open", "add", "remove"
 
 

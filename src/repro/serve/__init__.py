@@ -12,7 +12,10 @@ This package keeps dispatch cheap:
   contiguous little-endian column bitmasks + interned label table) written
   into :mod:`multiprocessing.shared_memory` segments, so a worker
   reconstructs an :class:`~repro.core.indexed.IndexedEnsemble` straight
-  from the segment buffer without unpickling label-level containers;
+  from the segment buffer without unpickling label-level containers.  It
+  is the one payload format of every task: a delta of an incremental
+  session travels as the same payload (no column to open a session, the
+  one column to add or remove), named by its bundle entry's kind byte;
 * :mod:`repro.serve.pool` — :class:`ServePool`, a spawn-once worker pool
   with a submission queue, backpressure, a ``solve_stream`` generator
   (completion order or input order), a ``solve_many``-compatible ordered
@@ -35,18 +38,14 @@ from __future__ import annotations
 from ..errors import ServeError, WireFormatError
 from .pool import ServeFuture, ServePool
 from .wire import (
-    DELTA_MAGIC,
     WIRE_MAGIC,
     WIRE_VERSION,
-    DeltaFrame,
     attach_payload,
     attach_segment,
     ensure_shared_tracker,
     create_segment,
-    pack_delta,
     pack_ensemble,
     packed_size,
-    unpack_delta,
     unpack_ensemble,
 )
 
@@ -57,12 +56,8 @@ __all__ = [
     "WireFormatError",
     "WIRE_MAGIC",
     "WIRE_VERSION",
-    "DELTA_MAGIC",
-    "DeltaFrame",
     "pack_ensemble",
     "unpack_ensemble",
-    "pack_delta",
-    "unpack_delta",
     "packed_size",
     "create_segment",
     "attach_segment",

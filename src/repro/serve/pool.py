@@ -32,8 +32,14 @@ Robustness model
   :class:`~repro.errors.ServeError` after ``max_task_retries``
   re-dispatches instead of crash-looping the pool.  A delta bundle is the
   one exception to "nothing is re-packed": its session's replay log (the
-  OPEN frame and the live columns' add frames) is replayed ahead of it on
-  the new worker.
+  OPEN entry and the live columns' add entries, in arrival order) is
+  packed ahead of it for the new worker.  The log needs no replay marker:
+  deleting columns keeps an instance C1P (or circular-ones), so every
+  replayed add is accepted again, exactly as it was the first time.
+* **Fail closed.**  A worker solves only ``_K_SOLVE`` entries and applies
+  only the three delta kinds; any other kind byte, an OPEN entry that
+  carries a column, or an ADD/REMOVE entry without exactly one column
+  fails its task with :class:`~repro.errors.ServeError`.
 * **At-least-once dispatch, exactly-once completion.**  A worker killed
   *after* reporting may leave a duplicate re-dispatch behind; results for
   bundles no longer pending are dropped, so every future resolves exactly
@@ -80,8 +86,9 @@ Atom = Hashable
 
 __all__ = ["ServePool", "ServeFuture"]
 
-#: bundle-entry kind bytes understood by the worker handler.
-_K_SOLVE, _K_DELTA = 0, 1
+#: bundle-entry kind bytes understood by the worker handler: a solve, or
+#: one of the three delta ops of an incremental session.
+_K_SOLVE, _K_OPEN, _K_ADD, _K_REMOVE = 0, 1, 2, 3
 
 #: marks the end of a stream's input for the feeder's ``next()``.
 _END = object()
@@ -91,79 +98,85 @@ _END = object()
 # the worker side
 # ---------------------------------------------------------------------- #
 def _serve_bundle(buf, args, sessions) -> list:
-    """Fleet handler: solve one bundle, one raw answer per entry.
+    """Fleet handler: serve one bundle, one raw answer per entry.
 
-    ``args`` is ``(circular, kernel, engine, split, certify)``, with
-    ``split`` the stream's :attr:`~repro.batch.BatchResult.split` mode
-    (``"whole"`` for :meth:`ServePool.submit`); only ``"components"``
-    splits an instance.  Each entry answers ``(order, witness_json,
-    parts)``: a solve entry from ``batch._solve_instance`` on the decoded
-    instance, a delta entry from :func:`_delta_entry`.  ``sessions`` is the
-    worker-local delta-session table: incremental solvers keyed by session
-    id, populated by ``C1PD`` OPEN frames and mutated in place by
-    ADD/REMOVE frames.  It lives in this process only — the parent's
-    replay log (the OPEN frame and the live add frames per session) is
-    the durable copy that rebuilds it on a respawned worker.
+    ``args`` is ``(circular, kernel, engine, split, certify, session_id)``,
+    with ``split`` the stream's :attr:`~repro.batch.BatchResult.split` mode
+    (``"whole"`` for :meth:`ServePool.submit`; only ``"components"``
+    splits an instance) and ``session_id`` the delta session a delta
+    bundle drives (``None`` on a solve bundle).  Each entry answers
+    ``(order, witness_json, parts)``: a ``_K_SOLVE`` entry from
+    ``batch._solve_instance`` on the decoded instance, a delta entry from
+    :func:`_delta_entry`; an entry of any other kind fails the task.
+    ``sessions`` is the worker-local delta-session table: incremental
+    solvers keyed by session id, opened by ``_K_OPEN`` entries and mutated
+    in place by ``_K_ADD``/``_K_REMOVE`` entries.  It lives in this process
+    only — the parent's replay log (the OPEN entry and the live add entries
+    per session) is the durable copy that rebuilds it on a respawned worker.
     """
-    circular, kernel, engine, split, certify = args
+    circular, kernel, engine, split, certify, _ = args
     # Copy the entry payloads out of the segment before it is closed:
     # holding memoryview slices across close() would raise BufferError
     # ("exported pointers exist").  The copy is a few hundred bytes per
     # small instance — noise next to the pickling it replaces.
     entries = [(kind, bytes(payload)) for kind, payload in wire.unpack_bundle(buf)]
+    answers = []
     with current_tracer().span("worker.serve.task", entries=len(entries)):
-        return [
-            _delta_entry(sessions, payload, kernel, engine) + (1,)
-            if kind == _K_DELTA
-            else _solve_instance(
-                IndexedEnsemble.from_packed_masks(payload),
-                split, circular, kernel, engine, certify, span_prefix="serve",
-            )
-            for kind, payload in entries
-        ]
+        for kind, payload in entries:
+            if kind == _K_SOLVE:
+                answers.append(_solve_instance(
+                    IndexedEnsemble.from_packed_masks(payload),
+                    split, circular, kernel, engine, certify, span_prefix="serve",
+                ))
+            elif kind in (_K_OPEN, _K_ADD, _K_REMOVE):
+                answers.append(_delta_entry(sessions, kind, payload, args) + (1,))
+            else:
+                raise ServeError(f"unknown bundle entry kind {kind}")
+    return answers
 
 
-def _delta_entry(sessions, payload, kernel, engine):
-    """Apply one delta frame to this worker's session table.
+def _delta_entry(sessions, kind, payload, args):
+    """Apply one delta entry to this worker's session table.
 
-    Returns ``(order, witness_json)``: an accepted delta carries the
-    session's new frontier layout, a refused one ``(None,
-    witness-or-None)``.  Replay
-    frames (crash recovery re-ships of already-answered deltas) skip
-    witness extraction — their results were delivered before the crash
-    and the parent discards the replayed outcomes anyway.
+    The payload is a label-free wire payload over the session's atoms
+    ``0 .. n-1``: no column for ``_K_OPEN``, the one column for ``_K_ADD``
+    and ``_K_REMOVE``.  Returns ``(order, witness_json)``: an accepted
+    delta carries the session's new frontier layout, a refused one
+    ``(None, witness-or-None)``.  A crash-recovery replay is an ordinary
+    run of entries: the replay log holds only the live columns, in arrival
+    order, and both properties are closed under deletion, so every
+    replayed add is accepted again and never reaches witness extraction.
     """
     from ..incremental.solver import IncrementalSolver
 
-    frame = wire.unpack_delta(payload, exact=True)
-    with current_tracer().span("serve.delta", op=frame.op, session=frame.session_id):
-        if frame.op == wire.DELTA_OPEN:
+    circular, kernel, engine, _, certify, session_id = args
+    atoms, masks, _ = wire.unpack_ensemble(payload, exact=True)
+    expected = 0 if kind == _K_OPEN else 1
+    if len(masks) != expected:
+        raise ServeError(
+            f"delta entry of kind {kind} carries {len(masks)} columns, "
+            f"expected {expected}"
+        )
+    with current_tracer().span("serve.delta", op=kind, session=session_id):
+        if kind == _K_OPEN:
             solver = IncrementalSolver(
-                range(frame.num_atoms),
-                circular=bool(frame.flags & wire.DELTA_FLAG_CIRCULAR),
-                kernel=kernel,
-                engine=engine,
+                range(len(atoms)), circular=circular, kernel=kernel, engine=engine
             )
             # OPEN resets the slot unconditionally: a crash-recovery replay
-            # always starts with the session's OPEN frame, so stale state
+            # always starts with the session's OPEN entry, so stale state
             # left by an earlier pin to this worker can never leak in.
-            sessions[frame.session_id] = (
-                solver,
-                bool(frame.flags & wire.DELTA_FLAG_CERTIFY),
-            )
+            sessions[session_id] = solver
             return (list(solver.layout()), None)
-        entry = sessions.get(frame.session_id)
-        if entry is None:
+        solver = sessions.get(session_id)
+        if solver is None:
             raise ServeError(
-                f"delta frame for unknown session {frame.session_id}: the "
+                f"delta entry for unknown session {session_id}: the "
                 f"session was never opened on this worker and the bundle "
                 f"carries no replay prefix"
             )
-        solver, certify = entry
-        column = mask_to_indices(frame.mask)
-        if frame.op == wire.DELTA_ADD:
-            replay = bool(frame.flags & wire.DELTA_FLAG_REPLAY)
-            outcome = solver.add_column(column, certify=certify and not replay)
+        column = mask_to_indices(masks[0])
+        if kind == _K_ADD:
+            outcome = solver.add_column(column, certify=certify)
             if outcome.accepted:
                 return (list(outcome.order), None)
             witness = (
@@ -245,14 +258,14 @@ class _DeltaSession:
     """Parent-side state of one incremental delta session.
 
     The pool pins a session to one worker (its in-process PQ-tree lives
-    there) and keeps a *replay log* of answered frames: the OPEN frame,
-    then the add frame of each column still live, in arrival order
+    there) and keeps a *replay log* of answered bundle entries: the OPEN
+    entry, then the add entry of each column still live, in arrival order
     (:meth:`ack`).  The worker's tree is always a fresh tree reduced by
     the live columns in arrival order — refusals leave no trace and a
-    remove rebuilds exactly that — so replaying the log rebuilds it byte
-    for byte.  When the pinned worker dies, the next bundle (or the
-    crashed one's re-dispatch) is prefixed with the log re-marked as
-    replay frames, before the new deltas apply.
+    remove rolls back to exactly that — so replaying the log rebuilds it
+    byte for byte.  When the pinned worker dies, the next bundle (or the
+    crashed one's re-dispatch) is prefixed with the log, unchanged, before
+    the new deltas apply.
     """
 
     __slots__ = ("session_id", "num_atoms", "worker", "log")
@@ -261,19 +274,20 @@ class _DeltaSession:
         self.session_id = session_id
         self.num_atoms = 0
         self.worker = None
-        #: ``(column mask, frame)``; the OPEN frame first, with mask ``None``
-        self.log: list[tuple[int | None, bytes]] = []
+        #: ``(column mask, bundle entry)``; the OPEN entry first, with mask
+        #: ``None``
+        self.log: list[tuple[int | None, tuple[int, bytes]]] = []
 
-    def ack(self, op: str, mask: int | None, frame: bytes, accepted: bool) -> None:
+    def ack(self, op: str, mask: int | None, entry: tuple, accepted: bool) -> None:
         """Fold one answered delta into the replay log.
 
         Refused deltas are dropped.  An accepted remove retired the first
-        live column with its mask, so it drops that column's add frame.
+        live column with its mask, so it drops that column's add entry.
         """
         if op == OP_OPEN:
-            self.log = [(None, frame)]
+            self.log = [(None, entry)]
         elif accepted and op == OP_ADD:
-            self.log.append((mask, frame))
+            self.log.append((mask, entry))
         elif accepted:
             for i, (logged, _) in enumerate(self.log):
                 if logged == mask:
@@ -282,11 +296,8 @@ class _DeltaSession:
 
 
 def _replayed(session: _DeltaSession, entries: list[tuple[int, bytes]]) -> bytes:
-    """A bundle frame: ``session``'s replay log as replay frames, then ``entries``."""
-    return wire.pack_bundle(
-        [(_K_DELTA, wire.mark_delta_replay(frame)) for _, frame in session.log]
-        + entries
-    )
+    """A bundle frame: ``session``'s replay log, then ``entries``."""
+    return wire.pack_bundle([entry for _, entry in session.log] + entries)
 
 
 def _pack_instance(ensemble: Ensemble | IndexedEnsemble) -> bytes:
@@ -460,7 +471,7 @@ class ServePool:
         """
         return self._submit_bundle(
             [(_K_SOLVE, _pack_instance(ensemble))],
-            (circular, kernel, engine, "whole", certify),
+            (circular, kernel, engine, "whole", certify, None),
             done_q=None,
             tag=None,
             single=True,
@@ -481,7 +492,7 @@ class ServePool:
         """Ship one bundle of packed entries; blocks on the in-flight window.
 
         ``args`` is the handler's ``(circular, kernel, engine, split,
-        certify)`` for every entry of the bundle.
+        certify, session_id)`` for every entry of the bundle.
         """
         frame = wire.pack_bundle(entries)
         if self._closed:
@@ -616,9 +627,8 @@ class ServePool:
 
         A delta bundle cannot be re-shipped verbatim: the crashed worker
         held the session's solver.  The segment is rebuilt with the replay
-        log (marked as replay) ahead of the bundle's own frames, so
-        the target worker reconstructs the session and then applies the
-        un-answered deltas for real.
+        log ahead of the bundle's own entries, so the target worker
+        reconstructs the session and then applies the un-answered deltas.
         """
         session = inflight.session
         if session is None:
@@ -733,7 +743,7 @@ class ServePool:
             cache, circular=circular, certify=certify, kernel=kernel, engine=engine
         )
         split = _split_mode(circular, cache)
-        args = (circular, kernel, engine, split, certify)
+        args = (circular, kernel, engine, split, certify, None)
 
         def _flush(group: list[tuple[int, bytes]]) -> None:
             self._submit_bundle(
@@ -834,11 +844,11 @@ class ServePool:
     ) -> Iterator[BatchResult]:
         """Drive one incremental session over the pool; one result per delta.
 
-        Strictly sequential by design: at most one bundle of delta frames
-        is in flight, because frame ``k+1``'s outcome depends on the
-        worker-side state left by frame ``k``.  ``chunksize`` frames ride
+        Strictly sequential by design: at most one bundle of delta entries
+        is in flight, because delta ``k+1``'s outcome depends on the
+        worker-side state left by delta ``k``.  ``chunksize`` deltas ride
         per bundle (default 1: lowest per-delta latency); each bundle's
-        frames are folded into the session's replay log only after its
+        entries are folded into the session's replay log only after its
         results arrive, so a crash mid-bundle replays exactly the live
         columns plus the unanswered bundle.  Layouts come back as atom
         indices and are mapped through one ``tuple(range(n))`` per
@@ -855,11 +865,11 @@ class ServePool:
         labels: tuple = ()
         answered = num_columns = 0
 
-        def _flush(batch: list[tuple[str, int | None, bytes]]) -> list[BatchResult]:
+        def _flush(batch: list[tuple[str, int | None, tuple]]) -> list[BatchResult]:
             nonlocal answered, num_columns
             future = self._submit_bundle(
-                [(_K_DELTA, frame) for _, _, frame in batch],
-                (circular, kernel, engine, "delta", certify),
+                [entry for _, _, entry in batch],
+                (circular, kernel, engine, "delta", certify, session.session_id),
                 done_q=None,
                 tag=None,
                 single=False,
@@ -871,9 +881,9 @@ class ServePool:
             # the trailing outcomes answer this bundle.
             outcomes = outcomes[len(outcomes) - len(batch):]
             results = []
-            for (op, mask, frame), (order, witness_json, parts) in zip(batch, outcomes):
+            for (op, mask, entry), (order, witness_json, parts) in zip(batch, outcomes):
                 accepted = order is not None
-                session.ack(op, mask, frame, accepted)
+                session.ack(op, mask, entry, accepted)
                 if accepted:
                     order = [labels[i] for i in order]
                     if op == OP_ADD:
@@ -890,7 +900,7 @@ class ServePool:
                 answered += 1
             return results
 
-        batch: list[tuple[str, int | None, bytes]] = []
+        batch: list[tuple[str, int | None, tuple]] = []
         opened = False
         for item in deltas:
             try:
@@ -914,14 +924,7 @@ class ServePool:
                 session.num_atoms = n
                 labels = tuple(range(n))
                 mask = None
-                flags = 0
-                if circular:
-                    flags |= wire.DELTA_FLAG_CIRCULAR
-                if certify:
-                    flags |= wire.DELTA_FLAG_CERTIFY
-                frame = wire.pack_delta(
-                    wire.DELTA_OPEN, session.session_id, n, flags=flags
-                )
+                entry = (_K_OPEN, wire.pack_ensemble(labels, (), with_labels=False))
                 opened = True
             elif op in (OP_ADD, OP_REMOVE):
                 if not opened:
@@ -939,18 +942,16 @@ class ServePool:
                             f"universe 0..{session.num_atoms - 1}"
                         )
                 mask = mask_from_indices(column)
-                frame = wire.pack_delta(
-                    wire.DELTA_ADD if op == OP_ADD else wire.DELTA_REMOVE,
-                    session.session_id,
-                    session.num_atoms,
-                    mask,
+                entry = (
+                    _K_ADD if op == OP_ADD else _K_REMOVE,
+                    wire.pack_ensemble(labels, (mask,), with_labels=False),
                 )
             else:
                 raise IncrementalError(
                     f"unknown delta op {op!r}; expected one of "
                     f"{OP_OPEN!r}, {OP_ADD!r}, {OP_REMOVE!r}"
                 )
-            batch.append((op, mask, frame))
+            batch.append((op, mask, entry))
             if len(batch) >= chunksize:
                 yield from _flush(batch)
                 batch = []

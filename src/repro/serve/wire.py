@@ -49,27 +49,15 @@ __all__ = [
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "BUNDLE_MAGIC",
-    "DELTA_MAGIC",
     "FLAG_LABELS",
     "FLAG_NAMES",
-    "DELTA_FLAG_CIRCULAR",
-    "DELTA_FLAG_CERTIFY",
-    "DELTA_FLAG_REPLAY",
-    "DELTA_OPEN",
-    "DELTA_ADD",
-    "DELTA_REMOVE",
     "HEADER",
     "BUNDLE_HEADER",
     "ENTRY_HEADER",
-    "DELTA_HEADER",
-    "DeltaFrame",
     "pack_ensemble",
     "unpack_ensemble",
     "pack_bundle",
     "unpack_bundle",
-    "pack_delta",
-    "unpack_delta",
-    "mark_delta_replay",
     "packed_size",
     "bundle_size",
     "create_segment",
@@ -273,8 +261,8 @@ def pack_bundle(entries: Sequence[tuple[int, bytes]]) -> bytes:
     Bundling is how the pool amortizes per-message dispatch cost over many
     small instances, exactly like ``chunksize`` on an executor ``map``: one
     segment, one queue message, one wake-up for a whole chunk of tasks.
-    ``kind`` is an application byte (the pool uses it to tell instance
-    entries from delta frames); payloads are :func:`pack_ensemble` frames.
+    ``kind`` is an application byte (the pool uses it to name the task:
+    a solve, or a delta op); payloads are :func:`pack_ensemble` frames.
     """
     parts = [BUNDLE_HEADER.pack(BUNDLE_MAGIC, WIRE_VERSION, 0, len(entries))]
     bodies = []
@@ -334,161 +322,6 @@ def unpack_bundle(
         out.append((kind, view[offset : offset + length]))
         offset += length
     return out
-
-
-# ---------------------------------------------------------------------- #
-# delta frames: incremental session operations
-# ---------------------------------------------------------------------- #
-#: magic bytes opening a delta frame ("C1P delta").
-DELTA_MAGIC = b"C1PD"
-
-#: the delta header: magic, version, flags, session id, op, reserved,
-#: atom count, payload length.
-DELTA_HEADER = struct.Struct("<4sHHIBBII")
-
-#: the session tests the circular-ones property (OPEN frames only).
-DELTA_FLAG_CIRCULAR = 0x01
-#: refused adds extract a Tucker witness (OPEN frames only).
-DELTA_FLAG_CERTIFY = 0x02
-#: crash-recovery replay of an already-acknowledged delta: the worker
-#: re-applies it to rebuild session state but skips witness extraction —
-#: the outcome is discarded by the parent.
-DELTA_FLAG_REPLAY = 0x04
-
-#: delta operations: open a session, admit a column, retire a column.
-DELTA_OPEN, DELTA_ADD, DELTA_REMOVE = 1, 2, 3
-
-_DELTA_OPS = (DELTA_OPEN, DELTA_ADD, DELTA_REMOVE)
-_KNOWN_DELTA_FLAGS = DELTA_FLAG_CIRCULAR | DELTA_FLAG_CERTIFY | DELTA_FLAG_REPLAY
-
-
-class DeltaFrame:
-    """One decoded delta operation (see :func:`unpack_delta`)."""
-
-    __slots__ = ("op", "session_id", "flags", "num_atoms", "mask")
-
-    def __init__(self, op, session_id, flags, num_atoms, mask) -> None:
-        self.op = op
-        self.session_id = session_id
-        self.flags = flags
-        self.num_atoms = num_atoms
-        self.mask = mask
-
-
-def pack_delta(
-    op: int,
-    session_id: int,
-    num_atoms: int,
-    mask: int | None = None,
-    *,
-    flags: int = 0,
-) -> bytes:
-    """Pack one session delta into a ``C1PD`` wire frame.
-
-    ``DELTA_OPEN`` carries no payload (the session universe is the dense
-    indices ``0 .. num_atoms-1``; circular/certify ride the flags);
-    ``DELTA_ADD`` / ``DELTA_REMOVE`` carry the column as one fixed-width
-    bitmask.  Frames are bundle-entry payloads — the pool ships them under
-    its ``_K_DELTA`` kind through the same segments as solve tasks.
-    """
-    if op not in _DELTA_OPS:
-        raise WireFormatError(f"unknown delta op {op}")
-    if flags & ~_KNOWN_DELTA_FLAGS:
-        raise WireFormatError(f"unknown delta flags {flags:#06x}")
-    if op == DELTA_OPEN:
-        if mask is not None:
-            raise WireFormatError("DELTA_OPEN carries no column mask")
-        body = b""
-    else:
-        if mask is None:
-            raise WireFormatError("column delta requires a mask")
-        universe = (1 << num_atoms) - 1
-        if mask < 0 or mask & ~universe:
-            raise WireFormatError(
-                f"delta mask {mask:#x} references atom indices outside "
-                f"0..{num_atoms - 1}"
-            )
-        body = mask_to_bytes(mask, (num_atoms + 7) // 8)
-    header = DELTA_HEADER.pack(
-        DELTA_MAGIC, WIRE_VERSION, flags, session_id, op, 0, num_atoms, len(body)
-    )
-    return header + body
-
-
-def unpack_delta(
-    buffer: bytes | bytearray | memoryview, *, exact: bool = False
-) -> DeltaFrame:
-    """Decode a ``C1PD`` frame; structural inconsistencies raise
-    :class:`~repro.errors.WireFormatError` (same paranoia as
-    :func:`unpack_ensemble` — decoding never returns garbage deltas)."""
-    view = memoryview(buffer)
-    if len(view) < DELTA_HEADER.size:
-        raise WireFormatError(
-            f"truncated delta header: {len(view)} bytes, need {DELTA_HEADER.size}"
-        )
-    magic, version, flags, session_id, op, reserved, num_atoms, payload_len = (
-        DELTA_HEADER.unpack_from(view, 0)
-    )
-    if magic != DELTA_MAGIC:
-        raise WireFormatError(
-            f"bad delta magic {bytes(magic)!r}, expected {DELTA_MAGIC!r}"
-        )
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported wire version {version}, this reader speaks {WIRE_VERSION}"
-        )
-    if flags & ~_KNOWN_DELTA_FLAGS:
-        raise WireFormatError(f"unknown delta flags {flags:#06x}")
-    if reserved:
-        raise WireFormatError(f"nonzero reserved delta byte {reserved:#04x}")
-    if op not in _DELTA_OPS:
-        raise WireFormatError(f"unknown delta op {op}")
-    if num_atoms >= _MAX_DIMENSION:
-        raise WireFormatError(f"implausible delta universe: n={num_atoms}")
-    expected = DELTA_HEADER.size + payload_len
-    if len(view) < expected:
-        raise WireFormatError(
-            f"truncated delta payload: {len(view)} bytes, header declares {expected}"
-        )
-    if exact and len(view) > expected:
-        raise WireFormatError(
-            f"{len(view) - expected} trailing bytes after the delta payload"
-        )
-    if op == DELTA_OPEN:
-        if payload_len:
-            raise WireFormatError("DELTA_OPEN frame carries an unexpected payload")
-        mask = None
-    else:
-        width = (num_atoms + 7) // 8
-        if payload_len != width:
-            raise WireFormatError(
-                f"delta mask width {payload_len} disagrees with {num_atoms} "
-                f"atoms (expected {width})"
-            )
-        mask = mask_from_bytes(view[DELTA_HEADER.size : DELTA_HEADER.size + width])
-        if mask & ~((1 << num_atoms) - 1):
-            raise WireFormatError(
-                f"delta mask references atom indices outside 0..{num_atoms - 1}"
-            )
-    return DeltaFrame(op, session_id, flags, num_atoms, mask)
-
-
-def mark_delta_replay(frame: bytes) -> bytes:
-    """Return ``frame`` with :data:`DELTA_FLAG_REPLAY` set (crash recovery
-    re-ships acknowledged deltas so a respawned worker can rebuild session
-    state without re-extracting refusal witnesses)."""
-    magic, version, flags, session_id, op, reserved, num_atoms, payload_len = (
-        DELTA_HEADER.unpack_from(frame, 0)
-    )
-    if magic != DELTA_MAGIC:
-        raise WireFormatError(
-            f"bad delta magic {bytes(magic)!r}, expected {DELTA_MAGIC!r}"
-        )
-    header = DELTA_HEADER.pack(
-        magic, version, flags | DELTA_FLAG_REPLAY, session_id, op, reserved,
-        num_atoms, payload_len,
-    )
-    return header + bytes(frame[DELTA_HEADER.size:])
 
 
 # ---------------------------------------------------------------------- #

@@ -264,12 +264,6 @@ class TutteDecomposition:
                 out.append((marker, ma))
         return out
 
-    def member_containing_edge(self, eid: int) -> Member:
-        try:
-            return self.members[self.edge_to_member[eid]]
-        except KeyError as exc:
-            raise DecompositionError(f"edge {eid} is not in the decomposition") from exc
-
     def rooted(self, root_mid: int) -> dict[int, tuple[int, int] | None]:
         """Parent map for the decomposition tree rooted at ``root_mid``.
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from ..errors import AlignmentError
 from ..graph.multigraph import MultiGraph
-from ..tutte.compose import ComposeChoices, relink_polygon
+from ..tutte.compose import ComposeChoices
 from ..tutte.decomposition import TutteDecomposition
 from ..tutte.members import MARKER_KIND, Member, MemberKind
 
@@ -158,13 +158,6 @@ class AlignmentPlanner:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _local_graph(self, mid: int, choices: ComposeChoices) -> MultiGraph:
-        """The member graph as it will be used by compose (relinked if planned)."""
-        member = self.decomp.members[mid]
-        if mid in choices.polygon_orders:
-            return relink_polygon(member, choices.polygon_orders[mid])
-        return member.graph
-
     @staticmethod
     def _edge_obj(graph: MultiGraph, spec: tuple[str, int], member: Member):
         kind, ident = spec

@@ -5,14 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.gp import RealizationGraph, interval_of, is_prefix_or_suffix
 from repro.core.instrument import SolverStats
 from repro.core.merge import (
-    _common_vertex_candidates,
-    _feasible_split_positions,
     anchored_candidates,
     merge_cycle,
 )
@@ -105,24 +101,6 @@ class TestGPRealization:
 
 
 class TestMergeInternals:
-    def test_feasible_split_positions_type_b(self):
-        order = [0, 1, 2, 3]
-        positions = _feasible_split_positions(order, [], [{1, 2}], [])
-        assert positions == [1, 3]
-
-    def test_feasible_split_positions_type_a_and_c(self):
-        order = [0, 1, 2, 3, 4]
-        positions = _feasible_split_positions(
-            order, [{1, 2}], [], [frozenset({3, 4})]
-        )
-        # type-a {1,2} allows w in 1..3, type-c {3,4} forbids w == 4 (inside)
-        assert positions == [1, 2, 3]
-
-    def test_feasible_split_positions_conflict(self):
-        order = [0, 1, 2, 3]
-        # {0,1} forces w in {0,2}; {1,2} forces w in {1,3}: no common position
-        assert _feasible_split_positions(order, [], [{0, 1}, {1, 2}], []) == []
-
     def test_anchored_candidates_include_alignment(self):
         stats = SolverStats()
         cands = anchored_candidates(
@@ -134,12 +112,6 @@ class TestMergeInternals:
     def test_anchored_candidates_trivial_cases(self):
         assert anchored_candidates([0, 1], [], [frozenset({0})]) == [[0, 1]]
         assert anchored_candidates([0, 1, 2], [], []) == [[0, 1, 2]]
-
-    def test_common_vertex_candidates_returns_original_first(self):
-        cands = _common_vertex_candidates(
-            [0, 1, 2, 3], [frozenset({1, 2})], [frozenset({1, 2}), frozenset({2, 3})]
-        )
-        assert cands[0] == [0, 1, 2, 3]
 
     def test_merge_cycle_glues_paths(self):
         # A1 = {0,1,2} ordered, A2 = {3,4,5}; one crossing column {2,3}
@@ -186,36 +158,3 @@ class TestStatsAndDepth:
         path_realization(inst.ensemble, stats)
         for total, side in stats.splits:
             assert total / 4 <= side <= 3 * total / 4 + 1
-
-
-@given(
-    n=st.integers(min_value=2, max_value=12),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=40, deadline=None)
-def test_property_feasible_positions_are_sound(n, seed):
-    """Every reported split position really satisfies the three conditions."""
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-
-    def random_interval():
-        lo = rng.randint(0, n - 1)
-        hi = rng.randint(lo, n - 1)
-        return {order[i] for i in range(lo, hi + 1)}
-
-    type_a = [random_interval() for _ in range(rng.randint(0, 2))]
-    type_b = [random_interval() for _ in range(rng.randint(0, 2))]
-    type_c = [frozenset(random_interval()) for _ in range(rng.randint(0, 2))]
-    positions = _feasible_split_positions(order, type_a, type_b, type_c)
-    pos_of = {a: i for i, a in enumerate(order)}
-    for w in positions:
-        for part in type_b:
-            ps = sorted(pos_of[a] for a in part)
-            assert w == ps[0] or w == ps[-1] + 1
-        for part in type_a:
-            ps = sorted(pos_of[a] for a in part)
-            assert ps[0] <= w <= ps[-1] + 1
-        for col in type_c:
-            ps = sorted(pos_of[a] for a in col)
-            assert not (ps[0] < w < ps[-1] + 1)

@@ -562,5 +562,5 @@ class TestDeltaSessionCrashRecovery:
             assert pool.respawn_count >= 1
         assert got == expected
         assert live is not None and live <= 10
-        add_frame = wire.DELTA_HEADER.size + (n + 7) // 8
+        add_frame = wire.packed_size(n, 1)
         assert replay_bytes <= wire.bundle_size([add_frame] * (live + 2))
