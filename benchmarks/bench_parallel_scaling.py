@@ -2,17 +2,18 @@
 
 Standalone JSON gate for the ``repro.parallel`` layer (DESIGN.md,
 Substitution 7).  One *large* multi-component instance — the workload the
-subsystem exists for — is packed once into the shared-memory wire format
-and solved by :class:`repro.parallel.ParallelSolver` at each worker count
-in ``--workers``; the baseline is the serial indexed kernel on the very
-same :class:`IndexedEnsemble`.  Every parallel layout is differentially
+subsystem exists for — is solved by :class:`repro.parallel.ParallelSolver`
+at each worker count in ``--workers``, one pool task per component; the
+baseline is the serial indexed kernel on the very same
+:class:`IndexedEnsemble`.  Every parallel layout is differentially
 checked against the serial one before any timing is reported, so a
 speedup can never be bought with a wrong answer.
 
 On a single-core host the speedup does not come from extra CPUs: the
 serial kernel drags full-width ``n``-atom masks through every
-sub-component, while each worker re-densifies its slice to component
-width, shrinking every bitset word-count by the component ratio.  The
+sub-component, while the fan-out re-densifies each component to its own
+width before a worker solves it, shrinking every bitset word-count by the
+component ratio.  The
 worker-count sweep then shows how the fan-out schedule behaves on top of
 that (see DESIGN.md for the measured shape).
 
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     for row in record["sweep"]:
         print(f"  {row['workers']} workers   {row['seconds']:.3f}s   "
               f"({row['speedup']:.2f}x, {row['execution']}, "
-              f"{row['parallel_tasks']} slice tasks)")
+              f"{row['parallel_tasks']} component tasks)")
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

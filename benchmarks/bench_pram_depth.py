@@ -55,7 +55,7 @@ def test_measured_mode_complements_the_analytic_table():
     The E2 sizes above stay below the fan-out cutoff, so their reports are
     all analytic (``mode="simulated"``).  This row runs an instance past
     the :func:`repro.pram.costmodel.parallel_fanout_worthwhile` cutoff with
-    ``parallel=2``: the real slice executor takes over and the report
+    ``parallel=2``: the real worker fan-out takes over and the report
     switches to wall-clock accounting — depth/work charges stay zero, the
     two columns are never mixed.  Full worker-count sweeps live in
     ``bench_parallel_scaling.py`` (E10).

@@ -43,8 +43,8 @@ pickling ensembles — same results, certificates included:
 
 For one *large* instance, ``parallel=N`` on a single-instance solver (or
 :class:`ParallelSolver` directly, :mod:`repro.parallel`) executes the
-paper's top-level divide with N real worker processes over shared-memory
-slices — byte-for-byte the serial kernel's answer, with a cost-model
+paper's top-level divide with N real worker processes, one pool task per
+component — byte-for-byte the serial kernel's answer, with a cost-model
 cutoff that keeps small or connected instances on the serial kernel:
 
 >>> order = path_realization(big_ensemble, parallel=4)   # doctest: +SKIP

@@ -45,7 +45,6 @@ FAST_PATH_MODULES = (
     "repro.serve.wire",
     "repro.certify.witness",
     "repro.parallel.solver",
-    "repro.parallel.executor",
     "repro.pqtree.pqtree",
     "repro.incremental.solver",
     "repro.incremental.canon",

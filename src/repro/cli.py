@@ -237,8 +237,8 @@ def trace_main(argv: Sequence[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro trace",
-        description="Run an instrumented, certified solve through both "
-        "process pools (a repro.parallel shared-memory fan-out and a "
+        description="Run an instrumented, certified solve through two "
+        "worker pools (a repro.parallel component fan-out and a "
         "repro.serve persistent pool) with tracing on, then write the "
         "stitched span trace and join it against the repro.pram.costmodel "
         "analytic charges.  The calibration report keeps measured seconds "
@@ -256,7 +256,7 @@ def trace_main(argv: Sequence[str]) -> int:
         type=int,
         default=2,
         metavar="N",
-        help="workers in the shared-memory slice fan-out (default: 2)",
+        help="workers in the component fan-out (default: 2)",
     )
     parser.add_argument(
         "--pool",
@@ -302,7 +302,7 @@ def trace_main(argv: Sequence[str]) -> int:
         args.demo = True  # bare `repro trace` at a terminal means the demo
     if args.demo or args.matrix is None:
         # Two disjoint blocks: multi-component by construction, so the
-        # fan-out genuinely dispatches slices to worker processes.
+        # fan-out genuinely submits component tasks to worker processes.
         rows = [[0] * 24 for _ in range(16)]
         for i, base in enumerate((0, 12)):
             for k in range(8):
@@ -316,9 +316,9 @@ def trace_main(argv: Sequence[str]) -> int:
     tracer = Tracer()
     start = time.perf_counter()
     with use_tracer(tracer):
-        # Leg 1: certified solve with the shared-memory slice fan-out.
+        # Leg 1: certified solve with the component fan-out.
         # fanout="always" bypasses the cost-model veto so the trace always
-        # contains worker-side SliceExecutor spans.
+        # contains the fan-out's worker-side serve.task spans.
         with ParallelSolver(args.parallel, fanout="always") as solver:
             solve = solver.solve_cycle if args.circular else solver.solve_path
             order = solve(ensemble, engine=args.engine)
@@ -374,8 +374,8 @@ def trace_main(argv: Sequence[str]) -> int:
     workers = {s.pid for s in spans} - parent
     verdict = "realizable" if order is not None else "not realizable"
     print(
-        f"traced a certified solve ({verdict}) through {args.parallel} slice "
-        f"worker(s) and a {args.pool}-worker serve pool in {elapsed:.3f}s"
+        f"traced a certified solve ({verdict}) through a {args.parallel}-worker "
+        f"fan-out and a {args.pool}-worker serve pool in {elapsed:.3f}s"
     )
     print(
         f"{span_count} spans ({sum(1 for s in spans if s.pid != os.getpid())} "
@@ -934,8 +934,8 @@ def _solve_main(argv: Sequence[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="solve this one instance with N real worker processes over "
-        "shared-memory slices (repro.parallel); small or connected "
+        help="solve this one instance with N real worker processes, one "
+        "pool task per component (repro.parallel); small or connected "
         "instances fall back to the serial kernel automatically",
     )
     _add_shared(parser, "--trace", "--quiet")

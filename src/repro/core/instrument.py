@@ -48,17 +48,18 @@ class SolverStats:
     #: explicit split balance records: (|A|, |A1|)
     splits: list[tuple[int, int]] = field(default_factory=list)
     #: how the solve actually executed: ``"sequential"`` (the serial
-    #: kernels), or ``"parallel"`` (real worker processes fanned out over
-    #: shared-memory slices — see :mod:`repro.parallel`).  A request for
+    #: kernels), or ``"parallel"`` (one instance's components fanned out as
+    #: tasks of a worker pool — see :mod:`repro.parallel`).  A request for
     #: parallel execution that fell below the cost-model cutoff reports
     #: ``"sequential"``: the field describes what ran, not what was asked.
     execution: str = "sequential"
     #: worker processes used by a parallel execution (0 when sequential)
     parallel_workers: int = 0
-    #: solve tasks dispatched to workers, one per component sent to a worker
+    #: component tasks submitted to the pool, one per component with more
+    #: than two atoms and at least one column
     parallel_tasks: int = 0
-    #: summed wall-clock seconds spent inside worker slice tasks — measured
-    #: work, as opposed to the analytic PRAM charge of ``repro.pram``
+    #: growth of the pool's ``serve.busy_seconds`` over the fan-out's wave —
+    #: measured work, as opposed to the analytic PRAM charge of ``repro.pram``
     parallel_task_seconds: float = 0.0
 
     # ------------------------------------------------------------------ #

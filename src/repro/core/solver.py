@@ -146,7 +146,7 @@ def path_realization(
     ``TuckerWitness`` on rejection (see :mod:`repro.certify`).
 
     ``parallel=N`` (N >= 2) executes the indexed kernel's top-level divide
-    with N real worker processes over shared-memory slices
+    with N real worker processes, one pool task per component
     (:mod:`repro.parallel`); the layout is byte-for-byte the serial
     kernel's.  Small instances fall back to the serial kernel below a
     cost-model cutoff, and ``kernel="reference"`` always runs serially

@@ -135,9 +135,6 @@ class Ensemble:
         """Mapping from atom label to its index in :attr:`atoms`."""
         return {a: i for i, a in enumerate(self.atoms)}
 
-    def column_sets(self) -> list[frozenset]:
-        return list(self.columns)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Ensemble(n={self.num_atoms}, m={self.num_columns}, p={self.total_size})"

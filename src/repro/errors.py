@@ -104,11 +104,11 @@ class WireFormatError(ServeError):
 class ParallelError(ReproError):
     """Raised by the intra-instance parallel solver (:mod:`repro.parallel`).
 
-    Examples: running a slice task on an executor that has been closed or
-    has no published instance segment, a slice task abandoned after
-    repeatedly crashing its worker process, or a failed verification of
-    the concatenated component layouts (which indicates a bug, not a bad
-    input — the serial kernel verifies the same invariant).
+    Examples: a solve on a solver that has been closed, or a failed
+    verification of the concatenated component layouts (which indicates a
+    bug, not a bad input — the serial kernel verifies the same invariant).
+    A component task that fails in its worker, or exhausts its retries,
+    raises the pool's :class:`ServeError` instead.
     """
 
 

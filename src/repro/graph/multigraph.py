@@ -116,10 +116,6 @@ class MultiGraph:
         self._adj[edge.v].remove(eid)
         return edge
 
-    def remove_isolated_vertices(self) -> None:
-        for v in [v for v, inc in self._adj.items() if not inc]:
-            del self._adj[v]
-
     def remove_edges(self, eids: Iterable[int]) -> None:
         """Remove the given edges, pruning endpoints left without any edge.
 
@@ -172,9 +168,6 @@ class MultiGraph:
             return self._edges[eid]
         except KeyError as exc:
             raise GraphError(f"edge id {eid} not in graph") from exc
-
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self._adj
 
     def degree(self, v: Vertex) -> int:
         return len(self._adj.get(v, ()))

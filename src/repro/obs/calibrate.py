@@ -23,7 +23,6 @@ span name             costmodel term                   analytic units
 ``tutte.build``       ``sequential_tutte_build_work``  ``f(n, m, engine)``
 ``merge.verify``      ``merge_verify_work``            ``f(p)``
 ``certify.narrow``    ``certify_work``                 ``f(n, m, p)``
-``parallel.pack``     ``wire_dispatch_bytes``          ``ceil(f(n, m) / 8)``
 ``serve.task``        ``serve_fleet_dispatch_work``    ``ceil(payload_bytes/8)``
 ``pool.spawn``        ``pool_startup_work``            ``f(workers)``
 ====================  ===============================  =======================
@@ -76,13 +75,6 @@ def _units_certify(tags: dict[str, Any]) -> int | None:
     return costmodel.certify_work(n, m, p)
 
 
-def _units_pack(tags: dict[str, Any]) -> int | None:
-    n, m = tags.get("n"), tags.get("m")
-    if n is None or m is None:
-        return None
-    return (costmodel.wire_dispatch_bytes(n, m) + 7) // 8
-
-
 def _units_serve_task(tags: dict[str, Any]) -> int | None:
     payload = tags.get("payload_bytes")
     return None if payload is None else (int(payload) + 7) // 8
@@ -102,7 +94,6 @@ SPAN_JOINS: dict[str, tuple[str, Callable[[dict[str, Any]], int | None]]] = {
     "tutte.build": ("sequential_tutte_build_work", _units_tutte_build),
     "merge.verify": ("merge_verify_work", _units_merge),
     "certify.narrow": ("certify_work", _units_certify),
-    "parallel.pack": ("wire_dispatch_bytes", _units_pack),
     "serve.task": ("serve_fleet_dispatch_work", _units_serve_task),
     "pool.spawn": ("pool_startup_work", _units_pool_spawn),
 }

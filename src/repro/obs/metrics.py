@@ -1,8 +1,9 @@
 """Stdlib-only metrics: counters, gauges, fixed-bucket histograms.
 
 One :class:`MetricsRegistry` per instrumented object (a ``ServePool``,
-a ``SliceExecutor``); instruments are get-or-create by name so call
-sites never need registration boilerplate.  Histograms use a fixed
+including the one behind a ``ParallelSolver``, or a ``ResultCache``);
+instruments are get-or-create by name so call sites never need
+registration boilerplate.  Histograms use a fixed
 geometric bucket ladder sized for solver latencies (10 µs … ~3 min)
 and report interpolated p50/p95/p99 — an estimate bounded by bucket
 width, which is the documented, deterministic trade for never storing

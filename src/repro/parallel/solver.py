@@ -1,22 +1,24 @@
-"""Real intra-instance parallel solve over shared-memory slices.
+"""Real intra-instance parallel solve: one wave of component tasks on a pool.
 
 This module executes the paper's top-level divide with actual worker
-processes (:class:`~repro.parallel.executor.SliceExecutor`) instead of the
-simulated PRAM of :mod:`repro.pram`:
+processes (a :class:`~repro.serve.ServePool`, the one worker fleet of the
+package) instead of the simulated PRAM of :mod:`repro.pram`:
 
 1. the parent computes the serial kernel's *top-level column list* — the
    effective masks for a path solve, the complement-normalised masks for a
    cycle solve — and splits it into connected components with the
    kernel's own Step 1 (``core.indexed._split``: member lists in the
    kernel's component order, before anything is spawned or packed);
-2. with the component count known it asks
+2. with the number of components that become tasks known (more than two
+   atoms and at least one column) it asks
    :func:`~repro.pram.costmodel.parallel_fanout_worthwhile` once;
-3. it packs the column list once into one shared-memory segment (``C1PW``
-   wire format, labels omitted) and sends one wave of ``solve`` tasks, one
-   per non-trivial component: the worker re-densifies the component (a
-   strictly-increasing index remap, under which every mask comparison the
-   kernel makes is invariant), runs the *serial* indexed kernel on it and
-   answers in the instance's atom indices;
+3. it re-densifies each such component in the parent
+   (``core.indexed._component_ensemble``: a strictly-increasing index
+   remap, under which every mask comparison the kernel makes is
+   invariant, labelled by the instance's atom indices) and submits it to
+   the pool as one whole-instance task, so each ships at its own width;
+   the worker runs the *serial* indexed kernel on it and answers in those
+   labels;
 4. the parent concatenates the layouts in component order and verifies
    the result once: a permutation, every top-level column consecutive.
 
@@ -35,12 +37,12 @@ never correctness (DESIGN.md, Substitution 7).
 
 from __future__ import annotations
 
-from array import array
 from typing import Hashable
 
 from ..core.bitset import all_consecutive, is_permutation_of
 from ..core.indexed import (
     IndexedEnsemble,
+    _component_ensemble,
     _effective_masks,
     _normalised_masks,
     _split,
@@ -52,8 +54,8 @@ from ..ensemble import Ensemble
 from ..errors import ParallelError
 from ..obs.trace import current_tracer
 from ..pram.costmodel import parallel_fanout_worthwhile
-from ..serve import wire
-from .executor import SliceExecutor
+from ..serve.fleet import CLOSE_TIMEOUT
+from ..serve.pool import ServePool
 
 Atom = Hashable
 
@@ -61,14 +63,14 @@ __all__ = ["ParallelSolver", "FANOUT_MODES"]
 
 #: fan-out policies: ``"auto"`` asks the cost model, ``"always"`` fans out
 #: whenever there are two components (the differential suite uses this to
-#: exercise the real slice machinery on small instances).
+#: exercise the real worker round trip on small instances).
 FANOUT_MODES = ("auto", "always")
 
 
 class ParallelSolver:
     """Intra-instance parallel solver with spawn-once warm workers.
 
-    The executor is spawned lazily on the first solve that actually fans
+    The pool is spawned lazily on the first solve that actually fans
     out, and reused across solves — a warm solver amortises worker
     startup over every instance it solves.  Use as a context manager, or
     call :meth:`close`.
@@ -83,30 +85,31 @@ class ParallelSolver:
             )
         self.workers = workers
         self.fanout = fanout
-        self._executor: SliceExecutor | None = None
+        self._pool: ServePool | None = None
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------ #
     @property
-    def executor(self) -> SliceExecutor | None:
-        """The live executor, or ``None`` before the first real fan-out."""
-        return self._executor
+    def executor(self) -> ServePool | None:
+        """The live worker pool, or ``None`` before the first real fan-out."""
+        return self._pool
 
-    def _ensure_executor(self) -> SliceExecutor:
+    def _ensure_pool(self) -> ServePool:
         if self._closed:
             raise ParallelError("solver is closed")
-        if self._executor is None:
+        if self._pool is None:
             with current_tracer().span(
-                "pool.spawn", workers=self.workers, kind="slice"
+                "pool.spawn", workers=self.workers, kind="parallel"
             ):
-                self._executor = SliceExecutor(self.workers)
-        return self._executor
+                self._pool = ServePool(self.workers)
+        return self._pool
 
     def close(self) -> None:
+        """Stop the workers within the fleet's one-second deadline."""
         self._closed = True
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        if self._pool is not None:
+            self._pool.close(wait=False, timeout=CLOSE_TIMEOUT)
+            self._pool = None
 
     def __enter__(self) -> "ParallelSolver":
         return self
@@ -209,32 +212,22 @@ class ParallelSolver:
         if len(components) < 2:
             return _SERIAL
         if self.fanout == "auto" and not parallel_fanout_worthwhile(
-            n,
-            len(columns),
             sum(c.bit_count() for c in columns),
             workers=self.workers,
-            components=len(components),
-            cold=self._executor is None,
+            tasks=sum(1 for members, rows in components if _is_task(members, rows)),
+            cold=self._pool is None,
         ):
             return _SERIAL
-        executor = self._ensure_executor()
+        pool = self._ensure_pool()
         if stats is not None:
             stats.enter(0, n, len(indexed.masks), indexed.total_size)
             stats.record_case(case)
             stats.execution = "parallel"
             stats.parallel_workers = self.workers
-        with tracer.span("parallel.pack", n=n, m=len(columns)):
-            payload = wire.pack_ensemble(
-                range(n), columns, None, with_labels=False
+        with tracer.span("parallel.solve", n=n, components=len(components)):
+            layouts = self._solve_components(
+                pool, columns, components, stats, engine
             )
-            executor.set_instance(payload)
-        try:
-            with tracer.span("parallel.solve", n=n, components=len(components)):
-                layouts = self._solve_components(
-                    executor, components, stats, engine
-                )
-        finally:
-            executor.release_instance()
         if layouts is None:
             return None
         order = [atom for layout in layouts for atom in layout]
@@ -251,7 +244,8 @@ class ParallelSolver:
 
     def _solve_components(
         self,
-        executor: SliceExecutor,
+        pool: ServePool,
+        columns: list[int],
         components: list[tuple[list[int], list[int]]],
         stats: SolverStats | None,
         engine: str | None,
@@ -260,37 +254,38 @@ class ParallelSolver:
 
         Components of one or two atoms, or with no columns, are laid out
         inline (the serial kernel's shortcut for both is the component's
-        atoms ascending); the rest become ``solve`` slice tasks.  Returns
+        atoms ascending); the rest are submitted to ``pool``.  Returns
         ``None`` when any component rejects — the serial kernel's verdict
         (it stops at the first rejection; the accepted layouts are the
         same either way).
         """
+        busy = pool.metrics.counter("serve.busy_seconds")
+        busy_before = busy.value
         layouts: list = []
-        specs: list[tuple] = []
-        slots: list[int] = []
+        futures = []
         for members, rows in components:
-            if len(members) > 2 and rows:
-                slots.append(len(layouts))
-                specs.append(
-                    (array("I", members).tobytes(), array("I", rows).tobytes(), engine)
-                )
-            elif stats is not None:
+            if stats is not None:
                 stats.enter(1, len(members), len(rows), 0)
+            if _is_task(members, rows):
+                part = _component_ensemble(members, [columns[j] for j in rows])
+                futures.append((len(layouts), pool.submit(part, engine=engine)))
             layouts.append(members)
         rejected = False
-        for slot, outcome in zip(slots, executor.run(specs)):
-            layout_bytes, seconds, depth, subproblems = outcome
-            if stats is not None:
-                stats.parallel_tasks += 1
-                stats.parallel_task_seconds += seconds
-                stats.max_depth = max(stats.max_depth, 1 + depth)
-                stats.subproblems += subproblems
-            if layout_bytes is None:
+        for slot, future in futures:
+            order, _ = future.result()
+            if order is None:
                 rejected = True
-                continue
-            layouts[slot] = array("I")
-            layouts[slot].frombytes(layout_bytes)
+            else:
+                layouts[slot] = order
+        if stats is not None:
+            stats.parallel_tasks += len(futures)
+            stats.parallel_task_seconds += busy.value - busy_before
         return None if rejected else layouts
+
+
+def _is_task(members: list[int], rows: list[int]) -> bool:
+    """Whether a component is solved by a worker rather than laid out inline."""
+    return len(members) > 2 and bool(rows)
 
 
 #: sentinel: the fan-out path declined and the caller should run serially.

@@ -10,10 +10,11 @@ the paper's Section 5 analysis uses.
 
 Fidelity to the *machine model* lives here; real wall-clock speedup lives in
 :mod:`repro.parallel`, which executes the same top-level divide with actual
-worker processes over shared-memory slices (Substitution 7 in DESIGN.md).
+worker processes, one pool task per component (Substitution 7 in
+DESIGN.md).
 :func:`parallel_path_realization` bridges the two: its report is
 ``mode="simulated"`` (Section 5 analytic charges) by default and
-``mode="measured"`` when ``parallel=N`` engages the real executor;
+``mode="measured"`` when ``parallel=N`` engages the real workers;
 :func:`repro.pram.costmodel.parallel_fanout_worthwhile` is the shared
 cutoff deciding when fan-out beats the serial kernel.
 

@@ -180,6 +180,12 @@ def certify_work(
 #: medium solve, which is why cold pools lose on fleets of small instances.
 _POOL_SPAWN_UNITS = 1024
 
+#: per-task charge for one warm pool round trip (pack, segment, queue,
+#: result pipe, wake-ups).  On a 2-CPU host a round trip took 0.35–0.56 ms
+#: and serial solves of 16-atom instances and of 300-atom live-set
+#: components 2–3 µs per unit, so a round trip is worth 110–270 units.
+_POOL_TASK_UNITS = 256
+
 
 def wire_dispatch_bytes(n: int, m: int, label_bytes: int = 0) -> int:
     """Bytes shipped per task by the packed shared-memory wire format.
@@ -229,37 +235,34 @@ def serve_fleet_dispatch_work(
 # intra-instance parallel fan-out (repro.parallel; DESIGN.md, Substitution 7)
 # ---------------------------------------------------------------------- #
 def parallel_fanout_worthwhile(
-    n: int,
-    m: int,
     p: int,
     *,
     workers: int,
-    components: int,
+    tasks: int,
     cold: bool = True,
 ) -> bool:
     """Whether fanning one instance's components across real workers pays.
 
     :class:`repro.parallel.ParallelSolver` asks once per solve, after its
-    parent-side split has counted the ``components`` of the top-level
-    column list (``m`` columns, ``p`` ones over ``n`` atoms) and before it
-    spawns or packs anything; ``cold`` is true while it has no workers.
-    The saving is the fraction of the sequential solve charge
-    (``p·log p``, the paper's sequential bound with constants one) that
-    disappears when ``min(workers, components)`` sub-solves run
-    concurrently; the cost is the pool startup charge (``0`` once warm)
-    plus one wire-format publication of the instance, at one work unit
-    per 8-byte word.
+    parent-side split has counted the components of the top-level column
+    list (``p`` ones in all) that become pool ``tasks`` — those with more
+    than two atoms and at least one column; the rest are laid out inline —
+    and before it spawns or submits anything; ``cold`` is true while it
+    has no workers.  A wave of fewer than two tasks is declined outright:
+    one task is a pure round trip.  The saving is the fraction of the
+    sequential solve charge (``p·log p``, the paper's sequential bound with
+    constants one) that disappears when ``min(workers, tasks)`` sub-solves
+    run concurrently; the cost is the pool startup charge (``0`` once
+    warm) plus one pool round trip per task (:data:`_POOL_TASK_UNITS`).
 
     This is deliberately conservative — below the cutoff the serial
     kernel runs unchanged, so a false negative costs only the speedup,
     never correctness.
     """
-    if workers < 2 or components < 2:
+    if workers < 2 or tasks < 2:
         return False
-    saved = sequential_solve_work(p) * (1.0 - 1.0 / min(workers, components))
-    overhead = pool_startup_work(workers, cold=cold) + (
-        wire_dispatch_bytes(n, m) + 7
-    ) // 8
+    saved = sequential_solve_work(p) * (1.0 - 1.0 / min(workers, tasks))
+    overhead = pool_startup_work(workers, cold=cold) + tasks * _POOL_TASK_UNITS
     return saved > overhead
 
 

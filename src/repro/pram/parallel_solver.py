@@ -50,7 +50,7 @@ class ParallelReport:
 
     ``mode`` distinguishes the two honestly: ``"simulated"`` means the
     depth/work columns are the Section 5 analytic charges over the
-    recorded recursion tree; ``"measured"`` means the real slice executor
+    recorded recursion tree; ``"measured"`` means the real worker fan-out
     (:mod:`repro.parallel`) ran and the ``measured_*`` fields carry
     wall-clock observations (the analytic columns are left at zero rather
     than mixed with measurements).
@@ -72,9 +72,9 @@ class ParallelReport:
     workers: int = 0
     #: wall-clock seconds of the whole solve (measured mode only)
     measured_seconds: float = 0.0
-    #: summed seconds spent inside worker slice tasks (measured work)
+    #: summed worker busy seconds of the fan-out's tasks (measured work)
     measured_task_seconds: float = 0.0
-    #: slice tasks dispatched to workers (measured mode only)
+    #: component tasks submitted to workers (measured mode only)
     parallel_tasks: int = 0
 
     # reference bounds (constants set to one)
@@ -170,8 +170,8 @@ def parallel_path_realization(
     the *sequential* substrate cost the engines change is modelled by
     :func:`repro.pram.costmodel.sequential_tutte_build_work`.
 
-    ``parallel=N`` runs the solve through the *real* slice executor
-    (:mod:`repro.parallel`).  When the executor actually fans out, the
+    ``parallel=N`` runs the solve through the *real* worker fan-out
+    (:mod:`repro.parallel`).  When the solver actually fans out, the
     report comes back in ``mode="measured"``: wall-clock and worker task
     seconds instead of analytic charges — never a mix of the two.  If the
     cost model kept the solve sequential (small instance, one component),

@@ -23,10 +23,11 @@ This package keeps dispatch cheap:
   extraction rides the same warm pool instead of a second executor.
   :func:`repro.batch.solve_many` with ``processes=N`` runs on a transient
   one;
-* :mod:`repro.serve.fleet` — the internal worker-fleet core under both
-  ``ServePool`` and :class:`repro.parallel.SliceExecutor`: spawn, the
-  worker loop, least-loaded dispatch, crash detection with respawn and
-  bounded re-dispatch, and shutdown within one deadline.
+* :mod:`repro.serve.fleet` — the internal worker-fleet core under
+  ``ServePool``: spawn, the worker loop, least-loaded dispatch, crash
+  detection with respawn and bounded re-dispatch, and shutdown within one
+  deadline.  :class:`repro.parallel.ParallelSolver` fans one instance's
+  components out as ordinary pool tasks, so the package has one fleet.
 
 See DESIGN.md, "Substitution 5" for the format rationale and the
 crash-recovery semantics, and ``benchmarks/bench_serve_throughput.py`` for
@@ -40,7 +41,6 @@ from .pool import ServeFuture, ServePool
 from .wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
-    attach_payload,
     attach_segment,
     ensure_shared_tracker,
     create_segment,
@@ -62,5 +62,4 @@ __all__ = [
     "create_segment",
     "attach_segment",
     "ensure_shared_tracker",
-    "attach_payload",
 ]

@@ -1,10 +1,10 @@
-"""The worker-fleet core under ``ServePool`` and ``SliceExecutor``.
+"""The worker-fleet core under ``ServePool``.
 
-Both process fleets of this package run on this module:
-:class:`repro.serve.ServePool` ships whole instances to its workers, and
-:class:`repro.parallel.SliceExecutor` ships one component solve of one
-published instance per task.  The
-fleet owns what a spawn-once pool needs and nothing either client serves:
+:class:`repro.serve.ServePool` is the one client of this module: it ships
+whole instances (and session deltas) to the workers, and
+:class:`repro.parallel.ParallelSolver` fans its components out as
+ordinary pool tasks.  The fleet owns what a spawn-once pool needs and
+nothing the pool serves:
 
 * **spawn** — one process per slot, with a private task queue and a
   single-writer result pipe.  A worker killed mid-report can tear only its
@@ -16,18 +16,18 @@ fleet owns what a spawn-once pool needs and nothing either client serves:
   reply ``done``/``error`` with the busy seconds and the span records.
 * **dispatch** — to the least-loaded live worker.
 * **crash recovery** — a dead worker's pipe is drained and closed, the
-  worker is respawned, and its in-flight tasks are re-dispatched until they
-  have crashed a worker more than ``max_task_retries`` times.  The crashed
-  attempt's span closes as aborted and the retry opens a fresh span under
-  the same parent, tagged ``retry``.  Dispatch is at-least-once and
-  completion exactly-once: a result for a task no longer pending is dropped.
+  worker is respawned (counted as ``serve.respawns``), and its in-flight
+  tasks are re-dispatched until they have crashed a worker more than
+  ``max_task_retries`` times.  The crashed attempt's span closes as
+  aborted and the retry opens a fresh span under the same parent, tagged
+  ``retry``.  Dispatch is at-least-once and completion exactly-once: a
+  result for a task no longer pending is dropped.
 * **close** — a sentinel per worker, joins until one deadline, then SIGKILL
   for the stragglers (a stopped process never acts on SIGTERM) and reap.
 
 The client hands the fleet three callbacks — a result, a task that ran out
-of retries, and an optional step before each re-dispatch — and serializes
-every call into it (``ServePool`` under its lock, ``SliceExecutor`` on its
-one calling thread).  The fleet never branches on which client it serves.
+of retries, and a step before each re-dispatch — and serializes
+every call into it (``ServePool`` under its lock).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _meta(started: float, tracer: Tracer | None) -> tuple:
 # the parent side
 # ---------------------------------------------------------------------- #
 class Task:
-    """One unit of work as the fleet tracks it; clients subclass it.
+    """One unit of work as the fleet tracks it; the client subclasses it.
 
     ``args`` rides the envelope to the handler.  ``span`` is the parent-side
     dispatch span and ``tracer`` the trace its worker spans stitch into;
@@ -168,7 +168,7 @@ class Fleet:
     ``on_result(task, status, payload, busy_seconds)`` receives every
     settled task, ``on_lost(task)`` each task that exhausted its retries,
     and ``on_retry(task, worker)`` runs before a re-dispatch to ``worker``.
-    Respawns count into ``metrics`` under ``respawn_metric``.
+    Respawns count into ``metrics`` as ``serve.respawns``.
     """
 
     def __init__(
@@ -178,10 +178,9 @@ class Fleet:
         *,
         max_task_retries: int,
         metrics: MetricsRegistry,
-        respawn_metric: str,
         on_result: Callable,
         on_lost: Callable,
-        on_retry: Callable | None = None,
+        on_retry: Callable,
     ) -> None:
         self.max_task_retries = max_task_retries
         self.respawn_count = 0
@@ -189,7 +188,6 @@ class Fleet:
         self.pending: dict[int, Task] = {}
         self._handler = handler
         self._metrics = metrics
-        self._respawn_metric = respawn_metric
         self._on_result = on_result
         self._on_lost = on_lost
         self._on_retry = on_retry
@@ -322,7 +320,7 @@ class Fleet:
             if not self.closed:
                 self.workers[slot] = self._spawn()
                 self.respawn_count += 1
-                self._metrics.counter(self._respawn_metric).inc()
+                self._metrics.counter("serve.respawns").inc()
             for task in orphaned:
                 self._retry(task)
 
@@ -340,8 +338,7 @@ class Fleet:
             self._on_lost(task)
             return
         target = self.pick()
-        if self._on_retry is not None:
-            self._on_retry(task, target)
+        self._on_retry(task, target)
         if crashed is not None:
             task.span = task.tracer.begin(
                 crashed.name, parent=crashed.parent_id, retry=task.retries

@@ -18,8 +18,9 @@ instance.
 
 The workers themselves — spawn, the worker loop, crash detection, respawn
 and re-dispatch under ``max_task_retries``, shutdown — are the fleet core
-of :mod:`repro.serve.fleet`, shared with :mod:`repro.parallel`.  This
-module adds only serving on top.
+of :mod:`repro.serve.fleet`.  This module adds only serving on top;
+:mod:`repro.parallel` fans one instance's components out as ordinary
+:meth:`ServePool.submit` tasks.
 
 Robustness model
 ----------------
@@ -37,8 +38,8 @@ Robustness model
   deleting columns keeps an instance C1P (or circular-ones), so every
   replayed add is accepted again, exactly as it was the first time.
 * **Fail closed.**  A worker solves only ``_K_SOLVE`` entries and applies
-  only the three delta kinds; any other kind byte, an OPEN entry that
-  carries a column, or an ADD/REMOVE entry without exactly one column
+  only the four delta kinds; any other kind byte, an OPEN or CLOSE entry
+  that carries a column, or an ADD/REMOVE entry without exactly one column
   fails its task with :class:`~repro.errors.ServeError`.
 * **At-least-once dispatch, exactly-once completion.**  A worker killed
   *after* reporting may leave a duplicate re-dispatch behind; results for
@@ -87,8 +88,9 @@ Atom = Hashable
 __all__ = ["ServePool", "ServeFuture"]
 
 #: bundle-entry kind bytes understood by the worker handler: a solve, or
-#: one of the three delta ops of an incremental session.
-_K_SOLVE, _K_OPEN, _K_ADD, _K_REMOVE = 0, 1, 2, 3
+#: one of the delta ops of an incremental session (``_K_CLOSE`` drops a
+#: finished session from its worker's table).
+_K_SOLVE, _K_OPEN, _K_ADD, _K_REMOVE, _K_CLOSE = 0, 1, 2, 3, 4
 
 #: marks the end of a stream's input for the feeder's ``next()``.
 _END = object()
@@ -109,8 +111,9 @@ def _serve_bundle(buf, args, sessions) -> list:
     ``batch._solve_instance`` on the decoded instance, a delta entry from
     :func:`_delta_entry`; an entry of any other kind fails the task.
     ``sessions`` is the worker-local delta-session table: incremental
-    solvers keyed by session id, opened by ``_K_OPEN`` entries and mutated
-    in place by ``_K_ADD``/``_K_REMOVE`` entries.  It lives in this process
+    solvers keyed by session id, opened by ``_K_OPEN`` entries, mutated
+    in place by ``_K_ADD``/``_K_REMOVE`` entries and dropped by a
+    ``_K_CLOSE`` entry when the session's stream ends.  It lives in this process
     only — the parent's replay log (the OPEN entry and the live add entries
     per session) is the durable copy that rebuilds it on a respawned worker.
     """
@@ -128,7 +131,7 @@ def _serve_bundle(buf, args, sessions) -> list:
                     IndexedEnsemble.from_packed_masks(payload),
                     split, circular, kernel, engine, certify, span_prefix="serve",
                 ))
-            elif kind in (_K_OPEN, _K_ADD, _K_REMOVE):
+            elif kind in (_K_OPEN, _K_ADD, _K_REMOVE, _K_CLOSE):
                 answers.append(_delta_entry(sessions, kind, payload, args) + (1,))
             else:
                 raise ServeError(f"unknown bundle entry kind {kind}")
@@ -139,10 +142,12 @@ def _delta_entry(sessions, kind, payload, args):
     """Apply one delta entry to this worker's session table.
 
     The payload is a label-free wire payload over the session's atoms
-    ``0 .. n-1``: no column for ``_K_OPEN``, the one column for ``_K_ADD``
-    and ``_K_REMOVE``.  Returns ``(order, witness_json)``: an accepted
-    delta carries the session's new frontier layout, a refused one
-    ``(None, witness-or-None)``.  A crash-recovery replay is an ordinary
+    ``0 .. n-1``: no column for ``_K_OPEN`` and ``_K_CLOSE``, the one
+    column for ``_K_ADD`` and ``_K_REMOVE``.  Returns ``(order,
+    witness_json)``: an accepted delta carries the session's new frontier
+    layout, a refused one ``(None, witness-or-None)``, a close
+    ``(None, None)`` (closing a session this worker does not hold is a
+    no-op).  A crash-recovery replay is an ordinary
     run of entries: the replay log holds only the live columns, in arrival
     order, and both properties are closed under deletion, so every
     replayed add is accepted again and never reaches witness extraction.
@@ -151,7 +156,7 @@ def _delta_entry(sessions, kind, payload, args):
 
     circular, kernel, engine, _, certify, session_id = args
     atoms, masks, _ = wire.unpack_ensemble(payload, exact=True)
-    expected = 0 if kind == _K_OPEN else 1
+    expected = 0 if kind in (_K_OPEN, _K_CLOSE) else 1
     if len(masks) != expected:
         raise ServeError(
             f"delta entry of kind {kind} carries {len(masks)} columns, "
@@ -167,6 +172,9 @@ def _delta_entry(sessions, kind, payload, args):
             # left by an earlier pin to this worker can never leak in.
             sessions[session_id] = solver
             return (list(solver.layout()), None)
+        if kind == _K_CLOSE:
+            sessions.pop(session_id, None)
+            return (None, None)
         solver = sessions.get(session_id)
         if solver is None:
             raise ServeError(
@@ -365,7 +373,6 @@ class ServePool:
             _serve_bundle,
             max_task_retries=max_task_retries,
             metrics=self.metrics,
-            respawn_metric="serve.respawns",
             on_result=self._on_result,
             on_lost=self._on_lost,
             on_retry=self._replay_session,
@@ -852,7 +859,9 @@ class ServePool:
         results arrive, so a crash mid-bundle replays exactly the live
         columns plus the unanswered bundle.  Layouts come back as atom
         indices and are mapped through one ``tuple(range(n))`` per
-        session, so every answer shares its int objects.
+        session, so every answer shares its int objects.  However the
+        stream ends, its pinned worker then gets one ``_K_CLOSE`` entry
+        that drops the session from its table.
         """
         if chunksize is None:
             chunksize = 1
@@ -864,12 +873,13 @@ class ServePool:
         self.metrics.counter("serve.delta_sessions").inc()
         labels: tuple = ()
         answered = num_columns = 0
+        args = (circular, kernel, engine, "delta", certify, session.session_id)
 
         def _flush(batch: list[tuple[str, int | None, tuple]]) -> list[BatchResult]:
             nonlocal answered, num_columns
             future = self._submit_bundle(
                 [entry for _, _, entry in batch],
-                (circular, kernel, engine, "delta", certify, session.session_id),
+                args,
                 done_q=None,
                 tag=None,
                 single=False,
@@ -902,61 +912,82 @@ class ServePool:
 
         batch: list[tuple[str, int | None, tuple]] = []
         opened = False
-        for item in deltas:
-            try:
-                op, value = item
-            except (TypeError, ValueError):
-                raise IncrementalError(
-                    f"delta stream items must be (op, value) pairs, "
-                    f"got {item!r}"
-                ) from None
-            if op == OP_OPEN:
-                if opened:
+        try:
+            for item in deltas:
+                try:
+                    op, value = item
+                except (TypeError, ValueError):
                     raise IncrementalError(
-                        "a delta stream drives exactly one session; "
-                        "open a second stream for a second session"
-                    )
-                n = value
-                if type(n) is not int or n < 1:
-                    raise IncrementalError(
-                        f"a session needs a positive int atom count, got {n!r}"
-                    )
-                session.num_atoms = n
-                labels = tuple(range(n))
-                mask = None
-                entry = (_K_OPEN, wire.pack_ensemble(labels, (), with_labels=False))
-                opened = True
-            elif op in (OP_ADD, OP_REMOVE):
-                if not opened:
-                    raise IncrementalError(
-                        f"delta stream must start with an "
-                        f"({OP_OPEN!r}, num_atoms) item, got {op!r} first"
-                    )
-                column = tuple(value)
-                for atom in column:
-                    if type(atom) is not int or not (
-                        0 <= atom < session.num_atoms
-                    ):
+                        f"delta stream items must be (op, value) pairs, "
+                        f"got {item!r}"
+                    ) from None
+                if op == OP_OPEN:
+                    if opened:
                         raise IncrementalError(
-                            f"column atom {atom!r} outside the session "
-                            f"universe 0..{session.num_atoms - 1}"
+                            "a delta stream drives exactly one session; "
+                            "open a second stream for a second session"
                         )
-                mask = mask_from_indices(column)
-                entry = (
-                    _K_ADD if op == OP_ADD else _K_REMOVE,
-                    wire.pack_ensemble(labels, (mask,), with_labels=False),
-                )
-            else:
-                raise IncrementalError(
-                    f"unknown delta op {op!r}; expected one of "
-                    f"{OP_OPEN!r}, {OP_ADD!r}, {OP_REMOVE!r}"
-                )
-            batch.append((op, mask, entry))
-            if len(batch) >= chunksize:
+                    n = value
+                    if type(n) is not int or n < 1:
+                        raise IncrementalError(
+                            f"a session needs a positive int atom count, got {n!r}"
+                        )
+                    session.num_atoms = n
+                    labels = tuple(range(n))
+                    mask = None
+                    entry = (_K_OPEN, wire.pack_ensemble(labels, (), with_labels=False))
+                    opened = True
+                elif op in (OP_ADD, OP_REMOVE):
+                    if not opened:
+                        raise IncrementalError(
+                            f"delta stream must start with an "
+                            f"({OP_OPEN!r}, num_atoms) item, got {op!r} first"
+                        )
+                    column = tuple(value)
+                    for atom in column:
+                        if type(atom) is not int or not (
+                            0 <= atom < session.num_atoms
+                        ):
+                            raise IncrementalError(
+                                f"column atom {atom!r} outside the session "
+                                f"universe 0..{session.num_atoms - 1}"
+                            )
+                    mask = mask_from_indices(column)
+                    entry = (
+                        _K_ADD if op == OP_ADD else _K_REMOVE,
+                        wire.pack_ensemble(labels, (mask,), with_labels=False),
+                    )
+                else:
+                    raise IncrementalError(
+                        f"unknown delta op {op!r}; expected one of "
+                        f"{OP_OPEN!r}, {OP_ADD!r}, {OP_REMOVE!r}"
+                    )
+                batch.append((op, mask, entry))
+                if len(batch) >= chunksize:
+                    yield from _flush(batch)
+                    batch = []
+            if batch:
                 yield from _flush(batch)
-                batch = []
-        if batch:
-            yield from _flush(batch)
+        finally:
+            # Whichever way the stream ended (input exhausted, consumer
+            # closed, an error), drop the session from its worker's table.
+            # The replay log is cleared first, so neither the pinning nor a
+            # crash re-dispatch ships a replay prefix with the close.
+            if session.worker is not None:
+                session.log.clear()
+                try:
+                    self._submit_bundle(
+                        [(_K_CLOSE, wire.pack_ensemble(labels, (), with_labels=False))],
+                        args,
+                        done_q=None,
+                        tag=None,
+                        single=False,
+                        trace=stream_trace,
+                        session=session,
+                    ).result(CLOSE_TIMEOUT)
+                # repro: lint-ok[exception-contract] closed pool or stuck worker (TimeoutError is an OSError)
+                except (ServeError, OSError):
+                    pass
 
     def solve_many(
         self,

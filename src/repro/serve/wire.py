@@ -62,7 +62,6 @@ __all__ = [
     "bundle_size",
     "create_segment",
     "attach_segment",
-    "attach_payload",
     "ensure_shared_tracker",
 ]
 
@@ -369,16 +368,3 @@ def ensure_shared_tracker() -> None:
 def attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach a named segment for reading; the creator keeps ownership."""
     return shared_memory.SharedMemory(name=name)
-
-
-def attach_payload(name: str) -> bytes:
-    """Attach a named segment, copy its contents out and detach again.
-
-    Convenience for tests and one-shot readers; the pool workers attach and
-    decode in place instead (see :func:`unpack_ensemble` on ``buf``).
-    """
-    segment = attach_segment(name)
-    try:
-        return bytes(segment.buf)
-    finally:
-        segment.close()

@@ -71,9 +71,6 @@ class Member:
             f"member {self.mid} does not contain marker {marker_id!r}"
         )
 
-    def contains_edge(self, eid: int) -> bool:
-        return eid in self.graph
-
     @staticmethod
     def classify(graph: MultiGraph) -> MemberKind:
         """Classify a split-free graph as bond, polygon or rigid."""

@@ -49,15 +49,6 @@ def _marker_between(decomp: TutteDecomposition, mid_a: int, mid_b: int) -> int:
     raise AlignmentError(f"members {mid_a} and {mid_b} are not adjacent in the tree")
 
 
-def _edge_in_member(member: Member, *, real_eid: int | None = None, marker: int | None = None):
-    """The member-graph edge object for a real edge id or a marker id."""
-    if real_eid is not None:
-        return member.graph.edge(real_eid)
-    if marker is None:
-        raise AlignmentError("either real_eid or marker must be given")
-    return member.marker_edge(marker)
-
-
 class AlignmentPlanner:
     """Plans Whitney-switch alignments over a Tutte decomposition."""
 

@@ -209,10 +209,9 @@ class TestTrace:
         worker_spans = [
             record
             for record in read_trace_jsonl(str(paths["out"]))
-            if record["name"] in ("worker.slice.solve", "worker.serve.task")
+            if record["name"] == "worker.serve.task"
         ]
-        assert {r["name"] for r in worker_spans} == {
-            "worker.slice.solve", "worker.serve.task"}
+        assert {r["name"] for r in worker_spans} == {"worker.serve.task"}
         pids = {r["pid"] for r in worker_spans}
         assert os.getpid() not in pids and len(pids) >= 2
 

@@ -7,7 +7,8 @@ Four layers under test:
   percentiles);
 * hypothesis round-trips for every export format — JSON-lines traces,
   Chrome trace events, metrics snapshots;
-* cross-process span stitching through both executors, including the
+* cross-process span stitching through the pool, submitted to directly
+  and under a ``ParallelSolver`` fan-out, including the
   crash-mid-span envelope: a worker SIGKILLed with open spans must leave
   ``status="aborted"`` parent-side spans and **no orphaned span ids** in
   the stitched trace;
@@ -24,7 +25,6 @@ import random
 import signal
 import threading
 import time
-from array import array
 
 import pytest
 from hypothesis import given
@@ -52,9 +52,7 @@ from repro.obs import (
     write_metrics_snapshot,
     write_trace_jsonl,
 )
-from repro.parallel.executor import SliceExecutor
 from repro.parallel.solver import ParallelSolver
-from repro.serve import wire
 from repro.serve.pool import ServePool
 
 
@@ -390,7 +388,7 @@ class TestParallelTracing:
         spans = tracer.spans()
         _assert_stitched(spans)
         names = {s.name for s in spans}
-        assert {"parallel.pack", "parallel.components", "parallel.solve",
+        assert {"parallel.components", "parallel.solve",
                 "parallel.verify", "pool.spawn"} <= names
         worker_spans = [s for s in spans if s.pid != os.getpid()]
         assert worker_spans, "no worker-side spans were stitched back"
@@ -442,92 +440,31 @@ class TestServePoolTracing:
 # ---------------------------------------------------------------------- #
 # crash-mid-span stitching
 # ---------------------------------------------------------------------- #
-def _packed_chain(n: int = 64):
-    columns = [(1 << i) | (1 << (i + 1)) for i in range(0, n - 1, 2)]
-    payload = wire.pack_ensemble(range(n), columns, None, with_labels=False)
-    spec = (
-        array("I", range(n)).tobytes(),
-        array("I", range(len(columns))).tobytes(),
-        None,
-    )
-    return payload, [spec]
-
-
-def _layouts(outcomes):
-    """The layout bytes of solve outcomes (their timings always differ)."""
-    return [outcome[0] for outcome in outcomes]
-
-
 class TestCrashStitching:
-    def test_slice_executor_sigkill_aborts_open_spans(self):
-        payload, tasks = _packed_chain()
+    def test_fanout_sigkill_aborts_open_spans(self):
         tracer = Tracer()
-        with use_tracer(tracer), SliceExecutor(1) as executor:
-            executor.set_instance(payload)
-            baseline = executor.run(tasks)
-            victim = executor.worker_pids[0]
-            os.kill(victim, signal.SIGKILL)
+        instance = _two_block_instance()
+        with use_tracer(tracer), ParallelSolver(2, fanout="always") as solver:
+            first = solver.solve_path(instance)
+            pool = solver.executor
+            os.kill(pool.worker_pids[0], signal.SIGKILL)
             deadline = time.monotonic() + 10
-            while executor.alive_workers and time.monotonic() < deadline:
+            while not pool.respawn_count and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert _layouts(executor.run(tasks)) == _layouts(baseline)
-            assert executor.respawn_count >= 1
-            assert executor.metrics.counter("parallel.respawns").value >= 1
-            executor.release_instance()
+            assert solver.solve_path(instance) == first
+            assert pool.respawn_count >= 1
+            assert pool.metrics.counter("serve.respawns").value >= 1
         spans = tracer.spans()
         _assert_stitched(spans, allow_aborted=True)
         aborted = [s for s in spans if s.status == "aborted"]
         retried = [s for s in spans if s.tags.get("retry")]
-        # Either the victim died holding the wave's task (abort + retry
-        # span) or it died idle between waves (no task was lost) — with
+        # Either the victim died holding a fan-out task (abort + retry
+        # span) or it died idle between fan-outs (no task was lost) — with
         # the kill landing right after a completed wave both are legal;
         # what is *il*legal is an aborted span without its retry twin.
         assert len(aborted) == len(retried)
         for span in retried:
             assert span.status == "ok"
-
-    def test_slice_executor_sigstop_kill_always_aborts_midflight(self):
-        # Freeze the worker *before* dispatch so the task is provably
-        # in-flight when SIGKILL lands: the parent-side span for that
-        # dispatch must close as aborted and the retry must complete.
-        payload, tasks = _packed_chain()
-        tracer = Tracer()
-        with use_tracer(tracer), SliceExecutor(1) as executor:
-            executor.set_instance(payload)
-            baseline = executor.run(tasks)
-            victim = executor.worker_pids[0]
-            os.kill(victim, signal.SIGSTOP)
-            try:
-                done: list = []
-
-                def traced_run():
-                    # threads start with a fresh contextvar context, so
-                    # the ambient tracer must be reinstalled in here
-                    with use_tracer(tracer):
-                        done.append(executor.run(tasks))
-
-                runner = threading.Thread(target=traced_run)
-                runner.start()
-                time.sleep(0.2)  # task sits in the frozen worker's queue
-            finally:
-                os.kill(victim, signal.SIGKILL)
-                try:
-                    os.kill(victim, signal.SIGCONT)
-                except ProcessLookupError:
-                    pass
-            runner.join(30)
-            assert not runner.is_alive()
-            assert done and _layouts(done[0]) == _layouts(baseline)
-            executor.release_instance()
-        spans = tracer.spans()
-        _assert_stitched(spans, allow_aborted=True)
-        aborted = [s for s in spans if s.status == "aborted"]
-        assert aborted, "the in-flight dispatch span must abort"
-        retried = [s for s in spans if s.tags.get("retry")]
-        assert retried and all(s.status == "ok" for s in retried)
-        assert {s.parent_id for s in retried} == {
-            s.parent_id for s in aborted
-        }, "the retry span must adopt the aborted attempt's parent"
 
     def test_serve_pool_sigstop_kill_aborts_serve_task_span(self):
         tracer = Tracer()
@@ -577,7 +514,7 @@ class TestCalibration:
         joined = set(report.joined_terms)
         assert {
             "sequential_solve_work",
-            "wire_dispatch_bytes",
+            "serve_fleet_dispatch_work",
             "pool_startup_work",
             "certify_work",
         } <= joined

@@ -1,22 +1,24 @@
 """Differential sweep for the real intra-instance parallel solver.
 
 The load-bearing property mirrors the serve-pool campaign: everything the
-:mod:`repro.parallel` slice machinery produces — layouts, rejections,
-witnesses, certificates — must be byte-for-byte identical to the serial
-kernel on the same instance, across kernels, engines and circular mode.
-The hypothesis sweep runs with ``fanout="always"`` so the cost model cannot
-quietly route examples back to the serial kernel: every multi-component
-example exercises the parent-side split, the packed segment, one wave of
-real worker sub-solves and the parent's final verification; a property
-ties that split to the kernel's own ``_components``.  The CI job
+:mod:`repro.parallel` fan-out produces — layouts, rejections, witnesses,
+certificates — must be byte-for-byte identical to the serial kernel on the
+same instance, across kernels, engines and circular mode.  The hypothesis
+sweep runs with ``fanout="always"`` so the cost model cannot quietly route
+examples back to the serial kernel: every multi-component example
+exercises the parent-side split, one wave of real worker sub-solves on the
+solver's pool and the parent's final verification; a property ties that
+split to the kernel's own ``_components``.  The CI job
 (``parallel-differential``) replays it at 500 fixed-seed examples via
 ``HYPOTHESIS_PROFILE=parallel-ci``.
 
-On top of the differential core, the suite exercises the executor's
-failure envelope with the same idioms as ``test_serve_stress.py``: a
-worker SIGKILLed with tasks already enqueued (respawn + re-dispatch, the
-wave still completes and still matches serial), and retry-budget
-exhaustion failing the wave with :class:`~repro.errors.ParallelError`.
+On top of the differential core, the suite exercises the fan-out's failure
+envelope with the same idioms as ``test_serve_stress.py``: a worker
+SIGKILLed between two fan-outs (respawn, and the next wave still matches
+serial), ``close()`` against a SIGSTOPped worker, and a wrong worker layout
+caught by the final verification.  Re-dispatch of enqueued tasks and retry
+exhaustion belong to the pool and are pinned there.  The cost model's
+warm decisions are pinned too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 import random
 import signal
 import time
-from array import array
 
 import pytest
 from hypothesis import example, given
@@ -54,9 +55,8 @@ from repro.core.indexed import (
 from repro.core.instrument import SolverStats
 from repro.errors import ParallelError
 from repro.generators import non_c1p_ensemble, random_c1p_ensemble
-from repro.parallel.executor import SliceExecutor
 from repro.parallel.solver import ParallelSolver
-from repro.serve import wire
+from repro.serve.pool import ServeFuture
 
 GRID = st.sampled_from([(k, e) for k in KERNELS for e in ENGINES])
 
@@ -244,42 +244,46 @@ class TestStatsContract:
             cycle_realization(instance, parallel=True)
 
 
-def _packed_chain(n: int = 64) -> tuple[bytes, list[tuple]]:
-    """A packed path instance plus one solve task over all of it."""
-    columns = [(1 << i) | (1 << (i + 1)) for i in range(0, n - 1, 2)]
-    payload = wire.pack_ensemble(range(n), columns, None, with_labels=False)
-    spec = (
-        array("I", range(n)).tobytes(),
-        array("I", range(len(columns))).tobytes(),
-        None,
-    )
-    return payload, [spec]
+def _chains(*blocks: tuple[int, int], isolated: int = 0) -> Ensemble:
+    """Disjoint interval chains ``{i, i+1, i+2}``, one per ``(start, atoms)``
+    block, plus ``isolated`` atoms no column covers."""
+    columns = [
+        frozenset({i, i + 1, i + 2})
+        for start, atoms in blocks
+        for i in range(start, start + atoms - 2)
+    ]
+    n = max(start + atoms for start, atoms in blocks) + isolated
+    return Ensemble(tuple(range(n)), tuple(columns))
 
 
-def _layouts(outcomes: list[tuple]) -> list[bytes]:
-    """The layout bytes of solve outcomes (their timings always differ)."""
-    return [outcome[0] for outcome in outcomes]
+class TestCostModel:
+    """What a *warm* ``fanout="auto"`` solver declines: a wave is priced
+    by the tasks it dispatches, and a single task is pure round trip."""
+
+    @pytest.fixture
+    def warmed(self):
+        with ParallelSolver(2, fanout="always") as solver:
+            solver.solve_path(_chains((0, 12), (12, 12)))
+            assert solver.executor is not None
+            solver.fanout = "auto"
+            yield solver
+
+    def _assert_declines(self, solver, instance):
+        stats = SolverStats()
+        assert solver.solve_path(instance, stats) == path_realization(instance)
+        assert stats.execution == "sequential"
+        assert stats.parallel_tasks == 0
+
+    def test_warm_solver_declines_a_small_two_block_instance(self, warmed):
+        self._assert_declines(warmed, _chains((0, 8), (8, 8)))
+
+    def test_one_dispatchable_component_plus_isolated_atoms_declines(
+        self, warmed
+    ):
+        self._assert_declines(warmed, _chains((0, 60), isolated=4))
 
 
 class TestCrashRecovery:
-    def test_sigkill_with_tasks_enqueued_re_dispatches(self):
-        # The victim dies holding this wave's tasks in its queue: the
-        # executor must respawn it, re-dispatch, and still return the same
-        # bytes a healthy run produces.
-        payload, tasks = _packed_chain()
-        with SliceExecutor(1) as executor:
-            executor.set_instance(payload)
-            baseline = executor.run(tasks)
-            victim = executor.worker_pids[0]
-            os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 10
-            while executor.alive_workers and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert _layouts(executor.run(tasks)) == _layouts(baseline)
-            assert executor.respawn_count >= 1
-            assert executor.alive_workers == 1
-            executor.release_instance()
-
     def test_sigkill_mid_solve_recovers_and_matches_serial(self):
         instance = _build_instance(
             [
@@ -299,29 +303,23 @@ class TestCrashRecovery:
             assert executor.respawn_count >= 1
             assert executor.alive_workers == 2
 
-    def test_retry_budget_exhaustion_raises_parallel_error(self):
-        payload, tasks = _packed_chain()
-        with SliceExecutor(1, max_task_retries=0) as executor:
-            executor.set_instance(payload)
-            assert _layouts(executor.run(tasks))[0]  # warm, healthy baseline
-            os.kill(executor.worker_pids[0], signal.SIGKILL)
-            deadline = time.monotonic() + 10
-            while executor.alive_workers and time.monotonic() < deadline:
-                time.sleep(0.01)
-            with pytest.raises(ParallelError, match="crashed its worker"):
-                executor.run(tasks)
-            executor.release_instance()
-
     def test_close_honours_its_deadline_with_a_stopped_worker(self):
         # A SIGSTOPped worker never acts on the shutdown sentinel (nor on a
         # SIGTERM): close() must still return near the fleet's deadline
         # and leave no worker process behind.
-        executor = SliceExecutor(2)
-        pids = executor.worker_pids
+        instance = _build_instance(
+            [
+                {"atoms": 9, "cols": 5, "bad": False, "seed": 11},
+                {"atoms": 8, "cols": 4, "bad": False, "seed": 12},
+            ]
+        )
+        solver = ParallelSolver(2, fanout="always")
+        assert solver.solve_path(instance) == path_realization(instance)
+        pids = solver.executor.worker_pids
         os.kill(pids[0], signal.SIGSTOP)
         try:
             started = time.monotonic()
-            executor.close()
+            solver.close()
             elapsed = time.monotonic() - started
             assert elapsed < 3.0, f"close() took {elapsed:.1f}s"
             live = {child.pid for child in multiprocessing.active_children()}
@@ -332,11 +330,6 @@ class TestCrashRecovery:
                     os.kill(pid, signal.SIGCONT)
                 except ProcessLookupError:
                     pass
-
-    def test_run_without_instance_rejected(self):
-        with SliceExecutor(1) as executor:
-            with pytest.raises(ParallelError, match="no instance"):
-                executor.run(_packed_chain()[1])
 
     def test_closed_solver_rejected(self):
         solver = ParallelSolver(2, fanout="always")
@@ -352,15 +345,16 @@ class TestCrashRecovery:
 
     def test_wrong_worker_layout_fails_the_final_verification(self, monkeypatch):
         # The parent checks the concatenated layout once: a worker answer
-        # that loses an atom must raise, never be returned.
-        run = SliceExecutor.run
+        # that loses atoms must raise, never be returned.
+        result = ServeFuture.result
+        answered = []
 
-        def lossy(self, specs):
-            outcomes = run(self, specs)
-            layout, *rest = outcomes[0]
-            return [(layout[:-4], *rest)] + outcomes[1:]
+        def lossy(self, timeout=None):
+            order, witness = result(self, timeout)
+            answered.append(order)
+            return (order[:-4] if len(answered) == 1 else order), witness
 
-        monkeypatch.setattr(SliceExecutor, "run", lossy)
+        monkeypatch.setattr(ServeFuture, "result", lossy)
         instance = _build_instance(
             [
                 {"atoms": 9, "cols": 5, "bad": False, "seed": 11},

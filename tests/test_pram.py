@@ -203,7 +203,7 @@ def _fanout_crossing_ensemble(
 ) -> Ensemble:
     """Interval columns over ``comps`` disjoint atom ranges — large and
     sparse enough that :func:`parallel_fanout_worthwhile` approves a
-    2-worker fan-out, so ``parallel=2`` really runs the slice executor."""
+    2-worker fan-out, so ``parallel=2`` really runs the worker fan-out."""
     span = n // comps
     columns = []
     for j in range(m):

@@ -4,7 +4,8 @@ A delta travels as an ordinary bundle entry: its kind byte names the op and
 its payload is the instance payload over the session's atoms (no column to
 open, the one column to add or remove).  The worker handler fails a bundle
 closed on any entry it cannot name, and keeps any number of sessions apart
-in one worker's table, keyed by the session id of each bundle's args.
+in one worker's table, keyed by the session id of each bundle's args.  A
+stream's end drops its session from that table.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import pytest
 
 from repro.errors import ServeError, WireFormatError
 from repro.serve import ServePool, wire
-from repro.serve.pool import _K_ADD, _K_OPEN, _K_REMOVE, _K_SOLVE, _serve_bundle
+from repro.serve.pool import (
+    _K_ADD,
+    _K_CLOSE,
+    _K_OPEN,
+    _K_REMOVE,
+    _K_SOLVE,
+    _serve_bundle,
+)
 from test_serve_stress import _delta_script, _delta_summary
 
 #: handler args ``(circular, kernel, engine, split, certify, session_id)``
@@ -70,6 +78,14 @@ class TestWorkerHandler:
                 [(_K_OPEN, _payload(3)), (kind, _payload(3, masks))], _DELTA_ARGS
             )
 
+    def test_close_drops_the_session_and_tolerates_an_unknown_one(self):
+        sessions = {}
+        _serve([(_K_OPEN, _payload(3)), (_K_CLOSE, _payload(3))], _DELTA_ARGS, sessions)
+        assert sessions == {}
+        assert _serve([(_K_CLOSE, _payload(3))], _DELTA_ARGS, sessions) == [
+            (None, None, 1)
+        ]
+
     @pytest.mark.parametrize(
         "mangle",
         [lambda p: p[:-1], lambda p: p + b"\0"],
@@ -113,3 +129,38 @@ def test_two_sessions_share_one_worker():
     assert together == alone
     for answers in alone:
         assert any('"type": "tucker"' in answer for answer in answers)
+
+
+class TestSessionEnd:
+    """A finished delta stream leaves nothing in its worker: a later delta
+    for its session id finds no session to apply to."""
+
+    _DELTAS = [("open", 4), ("add", (0, 1)), ("add", (1, 2))]
+
+    @pytest.mark.parametrize("closed_early", [False, True], ids=["ran-out", "closed"])
+    def test_finished_session_is_dropped_from_its_worker(self, closed_early):
+        with ServePool(1) as pool:
+            stream = pool.solve_stream(iter(self._DELTAS), incremental=True)
+            if closed_early:
+                next(stream)
+                stream.close()
+            else:
+                assert len(list(stream)) == len(self._DELTAS)
+            # The pool numbers its sessions from 1, and a ServePool(1) sends
+            # the hand-packed add to the worker that held the session.
+            late_add = pool._submit_bundle(
+                [(_K_ADD, _payload(4, (0b1100,)))],
+                _DELTA_ARGS,
+                done_q=None,
+                tag=None,
+                single=False,
+            )
+            with pytest.raises(ServeError, match="unknown session"):
+                late_add.result(30)
+
+    def test_ending_a_stream_after_its_pool_closed_raises_nothing(self):
+        pool = ServePool(1)
+        stream = pool.solve_stream(iter(self._DELTAS), incremental=True)
+        next(stream)
+        pool.close()
+        stream.close()

@@ -29,7 +29,7 @@ from repro.serve.wire import (
     HEADER,
     WIRE_MAGIC,
     WIRE_VERSION,
-    attach_payload,
+    attach_segment,
     bundle_size,
     create_segment,
     pack_bundle,
@@ -73,6 +73,15 @@ def indexed_ensembles(draw) -> IndexedEnsemble:
     return IndexedEnsemble(_labels(kind, n), masks, names)
 
 
+def _read_segment(name: str) -> bytes:
+    """Attach a named segment as a worker does, copy it out, detach."""
+    segment = attach_segment(name)
+    try:
+        return bytes(segment.buf)
+    finally:
+        segment.close()
+
+
 # ---------------------------------------------------------------------- #
 # round trips
 # ---------------------------------------------------------------------- #
@@ -91,7 +100,7 @@ class TestRoundTrip:
         )
         segment = create_segment(payload)
         try:
-            via_shm = attach_payload(segment.name)
+            via_shm = _read_segment(segment.name)
             back = IndexedEnsemble.from_packed_masks(via_shm)
         finally:
             segment.close()
@@ -280,7 +289,7 @@ class TestCorruption:
         assert len(frame) == bundle_size([len(p) for _, p in entries])
         segment = create_segment(frame)
         try:
-            decoded = unpack_bundle(attach_payload(segment.name))
+            decoded = unpack_bundle(_read_segment(segment.name))
         finally:
             segment.close()
             segment.unlink()
