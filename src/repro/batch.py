@@ -171,7 +171,7 @@ def _linear_parts(instance: IndexedEnsemble) -> list[tuple[IndexedEnsemble, list
         first.setdefault(mask, i)
     effective = instance.effective_masks()
     parts = []
-    for members, cols in _split(instance.num_atoms, effective):
+    for members, cols in _split(instance.universe_mask, effective):
         masks = [effective[j] for j in cols]
         rows = [first[mask] for mask in masks]
         part = _component_ensemble(
@@ -291,13 +291,14 @@ def solve_many(
     if pool is None:
         instances = list(ensembles)
         workers = _resolve_workers(processes, len(instances))
+        ambient = trace if trace is not None else current_tracer()
         if workers < 2:
             split = _split_mode(circular, cache)
             front = CacheFront(
                 cache, circular=circular, certify=certify, kernel=kernel, engine=engine
             )
             results = []
-            with use_tracer(trace if trace is not None else current_tracer()):
+            with use_tracer(ambient):
                 for index, ensemble in enumerate(instances):
                     # Serially a leader settles before the next request is
                     # admitted, so nothing coalesces: one answer per request.
@@ -316,7 +317,8 @@ def solve_many(
         from .serve.pool import ServePool
 
         ensembles = instances
-        pool = transient = ServePool(workers)
+        with use_tracer(ambient):
+            pool = transient = ServePool(workers)
     try:
         return pool.solve_many(
             ensembles,

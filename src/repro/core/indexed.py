@@ -175,75 +175,9 @@ class IndexedEnsemble:
             f"p={self.total_size})"
         )
 
-    # ------------------------------------------------------------------ #
-    # structural operations as mask operations
-    # ------------------------------------------------------------------ #
-    def restrict(self, subset: int, *, drop_empty: bool = True) -> "IndexedEnsemble":
-        """The sub-ensemble induced by the atoms of the ``subset`` mask.
-
-        Atom indices are re-densified (the ``k``-th surviving atom becomes
-        index ``k``), so restricted ensembles stay narrow.
-        """
-        if subset & ~self.universe_mask:
-            raise InvalidEnsembleError("restriction references unknown atom indices")
-        kept = mask_to_indices(subset)
-        remap = {old: new for new, old in enumerate(kept)}
-        new_atoms = tuple(self.atoms[i] for i in kept)
-        new_masks: list[int] = []
-        new_names: list[str] = []
-        for name, mask in zip(self.column_names, self.masks):
-            inter = mask & subset
-            if inter or not drop_empty:
-                new_masks.append(
-                    mask_from_indices(remap[i] for i in mask_to_indices(inter))
-                )
-                new_names.append(name)
-        return IndexedEnsemble(new_atoms, new_masks, new_names)
-
     def effective_masks(self) -> list[int]:
         """Columns that constrain a linear layout: size >= 2, not full, deduped."""
         return _effective_masks(self.universe_mask, self.masks)
-
-    def components(self, *, effective: bool = True) -> list[int]:
-        """Connected-component atom masks of the shares-a-column relation.
-
-        With ``effective`` (the default) trivial and full columns are ignored
-        first — they never constrain a linear layout, and dropping them lets
-        disconnected instances split further.  Components preserve atom order
-        and singleton atoms form singleton components.
-        """
-        columns = self.effective_masks() if effective else list(self.masks)
-        return _components(self.universe_mask, columns)
-
-    def tucker_transform(self, new_atom: Atom = "__r__") -> "IndexedEnsemble":
-        """The Section 3.2 transform with the fresh atom ``r`` at index ``n``."""
-        if new_atom in self.atoms:
-            raise InvalidEnsembleError(
-                f"transform atom {new_atom!r} already present in the universe"
-            )
-        n = self.num_atoms
-        full = (1 << (n + 1)) - 1
-        new_masks = _tucker_masks(full, n + 1, self.masks)
-        new_names = [
-            f"{name}~" if new != old else name
-            for name, old, new in zip(self.column_names, self.masks, new_masks)
-        ]
-        return IndexedEnsemble(self.atoms + (new_atom,), new_masks, new_names)
-
-    # ------------------------------------------------------------------ #
-    # layout verification as mask operations
-    # ------------------------------------------------------------------ #
-    def verify_linear_indices(self, order: Sequence[int]) -> bool:
-        """Check an index order against every column (permutation + spans)."""
-        if not is_permutation_of(order, self.universe_mask):
-            return False
-        return all_consecutive(order, self.masks)
-
-    def verify_circular_indices(self, order: Sequence[int]) -> bool:
-        """Check a circular index order against every column."""
-        if not is_permutation_of(order, self.universe_mask):
-            return False
-        return all_circular_consecutive(order, self.masks)
 
     # ------------------------------------------------------------------ #
     # solving
@@ -292,39 +226,6 @@ def _effective_masks(avail: int, columns: Sequence[int]) -> list[int]:
     return out
 
 
-def _components(avail: int, columns: Sequence[int]) -> list[int]:
-    """Atom masks of the connected components of the live atoms ``avail``."""
-    indices = mask_to_indices(avail)
-    slot = {atom: k for k, atom in enumerate(indices)}
-    parent = list(range(len(indices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mask in columns:
-        ids = [slot[i] for i in mask_to_indices(mask)]
-        if not ids:
-            continue
-        r0 = find(ids[0])
-        for other in ids[1:]:
-            ro = find(other)
-            if ro != r0:
-                parent[ro] = r0
-
-    groups: dict[int, int] = {}
-    order: list[int] = []
-    for k, atom in enumerate(indices):
-        root = find(k)
-        if root not in groups:
-            groups[root] = len(order)
-            order.append(0)
-        order[groups[root]] |= 1 << atom
-    return order
-
-
 def _normalised_masks(avail: int, columns: Sequence[int]) -> list[int]:
     """The cycle kernel's columns of ``avail``: each complemented to at most
     half the atoms (complementing keeps circular contiguity), trivial ones
@@ -342,20 +243,23 @@ def _normalised_masks(avail: int, columns: Sequence[int]) -> list[int]:
     return out
 
 
-def _split(n: int, columns: Sequence[int]) -> list[tuple[list[int], list[int]]]:
-    """Step 1's component split of the atoms ``0 .. n-1`` under a top-level
-    column list (the effective or the normalised masks).
+def _split(avail: int, columns: Sequence[int]) -> list[tuple[list[int], list[int]]]:
+    """Step 1 of Fig. 3: the connected components of the atoms of ``avail``
+    under a column list (the effective or the normalised masks).
 
-    One ``(members, rows)`` pair per component, in the kernel's order
-    (:func:`_components`: minimum atom first): ``members`` are its atoms
-    ascending, ``rows`` the indices of its columns in ``columns``, in list
-    order.  An atom no column covers is a singleton component without rows.
-    Components stay member lists, never atom masks, and no step scans
-    components × columns: a sparse instance has a singleton component per
-    uncovered atom (~29k at 10^5 atoms), and that many full-width masks
-    cost more than the whole solve.
+    One ``(members, rows)`` pair per component, minimum atom first:
+    ``members`` are its atoms ascending, ``rows`` the indices of its
+    columns in ``columns``, in list order.  An atom no column covers is a
+    singleton component without rows.  Components stay member lists, never
+    atom masks, and no step scans components × columns: a sparse instance
+    has a singleton component per uncovered atom (~29k at 10^5 atoms), and
+    that many full-width masks cost more than the whole solve.  Most calls
+    find one component, which gets every nonzero column without a lookup.
     """
-    parent = list(range(n))
+    atoms = mask_to_indices(avail)
+    slot = {atom: k for k, atom in enumerate(atoms)}
+    parent = list(range(len(atoms)))
+    count = len(atoms)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -364,7 +268,7 @@ def _split(n: int, columns: Sequence[int]) -> list[tuple[list[int], list[int]]]:
         return x
 
     for mask in columns:
-        ids = mask_to_indices(mask)
+        ids = [slot[i] for i in mask_to_indices(mask)]
         if not ids:
             continue
         r0 = find(ids[0])
@@ -372,18 +276,28 @@ def _split(n: int, columns: Sequence[int]) -> list[tuple[list[int], list[int]]]:
             ro = find(other)
             if ro != r0:
                 parent[ro] = r0
-    slot: dict[int, int] = {}
+                count -= 1
+    if count == 1:
+        return [(atoms, [j for j, mask in enumerate(columns) if mask])]
+    group: dict[int, int] = {}
     parts: list[tuple[list[int], list[int]]] = []
-    for atom in range(n):
-        root = find(atom)
-        if root not in slot:
-            slot[root] = len(parts)
+    for k, atom in enumerate(atoms):
+        root = find(k)
+        if root not in group:
+            group[root] = len(parts)
             parts.append(([], []))
-        parts[slot[root]][0].append(atom)
+        parts[group[root]][0].append(atom)
     for j, mask in enumerate(columns):
         if mask:
-            parts[slot[find((mask & -mask).bit_length() - 1)]][1].append(j)
+            low = slot[(mask & -mask).bit_length() - 1]
+            parts[group[find(low)]][1].append(j)
     return parts
+
+
+def _needs_solve(members: Sequence[int], rows: Sequence[int]) -> bool:
+    """Whether a component of :func:`_split` needs a solve: one of at most
+    two atoms, or without columns, is laid out as its atoms ascending."""
+    return len(members) > 2 and bool(rows)
 
 
 def _component_ensemble(
@@ -453,18 +367,11 @@ def _path_rec(
     if not effective:
         return mask_to_indices(avail)
 
-    components = _components(avail, effective)
-    if len(components) > 1:
+    parts = _split(avail, effective)
+    if len(parts) > 1:
         if ctx.stats is not None:
             ctx.stats.record_case("components")
-        order: list[int] = []
-        for comp in components:
-            sub_cols = [c for c in effective if c & comp]
-            sub_order = _path_rec(comp, sub_cols, ctx, depth + 1)
-            if sub_order is None:
-                return None
-            order.extend(sub_order)
-        return order
+        return _solve_components(parts, effective, ctx, depth + 1)
 
     decision = choose_partition_masks(n, effective)
     if ctx.stats is not None:
@@ -545,18 +452,11 @@ def _cycle_rec(
     if not normalised:
         return mask_to_indices(avail)
 
-    components = _components(avail, normalised)
-    if len(components) > 1:
+    parts = _split(avail, normalised)
+    if len(parts) > 1:
         if ctx.stats is not None:
             ctx.stats.record_case("cycle-components")
-        order: list[int] = []
-        for comp in components:
-            sub_cols = [c for c in normalised if c & comp]
-            sub_order = _path_rec(comp, sub_cols, ctx, depth + 1)
-            if sub_order is None:
-                return None
-            order.extend(sub_order)
-        return order
+        return _solve_components(parts, normalised, ctx, depth + 1)
 
     decision = choose_partition_masks(n, normalised)
     if ctx.stats is not None:
@@ -591,6 +491,38 @@ def _cycle_rec(
     return merged
 
 
+def _solve_components(
+    parts: list[tuple[list[int], list[int]]],
+    columns: Sequence[int],
+    ctx: _KernelContext,
+    depth: int,
+) -> list[int] | None:
+    """The components branch: each component of :func:`_split` solved as a
+    path at ``depth``, the layouts concatenated in component order.
+
+    A component that needs no solve (:func:`_needs_solve`) is entered in
+    the stats as its recursive call would enter it and laid out as that
+    call would lay it out, atoms ascending, without a mask or the call.
+    """
+    order: list[int] = []
+    for members, rows in parts:
+        sub_cols = [columns[j] for j in rows]
+        if not _needs_solve(members, rows):
+            if ctx.stats is not None:
+                ones = sum(c.bit_count() for c in sub_cols)
+                ctx.stats.enter(depth, len(members), len(rows), ones)
+            order.extend(members)
+            continue
+        sub_avail = 0
+        for c in sub_cols:  # every atom of a component of > 1 atom has a column
+            sub_avail |= c
+        sub_order = _path_rec(sub_avail, sub_cols, ctx, depth)
+        if sub_order is None:
+            return None
+        order.extend(sub_order)
+    return order
+
+
 # ---------------------------------------------------------------------- #
 # the kernel merge ladder
 # ---------------------------------------------------------------------- #
@@ -607,8 +539,8 @@ def _merge_path_kernel(
     """Merge the two side realizations, cheapest strategy first.
 
     1. Splice ``order1`` (both orientations) at the split marker and verify
-       the crossing columns (:func:`~repro.core.merge.merge_path_masks` step
-       one) — succeeds in the overwhelmingly common case.
+       the crossing columns (:func:`~repro.core.merge.cheap_path_splice`) —
+       succeeds in the overwhelmingly common case.
     2. *Anchored re-solve*: for the fixed side-2 order the merge exists iff
        side 1 admits a realization in which every crossing column attaching
        left of the split marker has its ``A1``-part as a prefix and every one
@@ -647,8 +579,6 @@ def _merge_path_kernel(
         return merged
 
     # --- step 3: the full alignment machinery -------------------------- #
-    # Call the label-level merge directly: its cheap-splice prefix inside
-    # merge_path_masks is exactly what step 1 already rejected.
     return merge_path(
         list(order1),
         order2_aug,

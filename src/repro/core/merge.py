@@ -39,7 +39,6 @@ Atom = Hashable
 __all__ = [
     "merge_path",
     "merge_cycle",
-    "merge_path_masks",
     "merge_cycle_masks",
     "cheap_path_splice",
     "anchored_candidates",
@@ -367,8 +366,8 @@ def cheap_path_splice(
     """Splice ``order1`` (both orientations) into ``order2`` at gap ``w``.
 
     Returns the first splice in which every crossing column mask is
-    contiguous, or ``None``.  Shared by :func:`merge_path_masks` and the
-    indexed kernel's merge ladder.
+    contiguous, or ``None``: the first step of the indexed kernel's merge
+    ladder.
     """
     order2 = list(order2)
     for oriented1 in (list(order1), list(reversed(order1))):
@@ -380,60 +379,6 @@ def cheap_path_splice(
                 stats.merges += 1
             return merged
     return None
-
-
-def merge_path_masks(
-    order1: Sequence[int],
-    order2_augmented: Sequence[int],
-    split_index: int,
-    columns: Sequence[int],
-    *,
-    stats: SolverStats | None = None,
-    engine: str | None = None,
-) -> list[int] | None:
-    """Mask version of :func:`merge_path`: integer atoms, bitmask columns."""
-    tracer = current_tracer()
-    if tracer.enabled:
-        with tracer.span(
-            "merge.verify", p=sum(c.bit_count() for c in columns)
-        ):
-            return _merge_path_masks_impl(
-                order1, order2_augmented, split_index, columns,
-                stats=stats, engine=engine,
-            )
-    return _merge_path_masks_impl(
-        order1, order2_augmented, split_index, columns, stats=stats, engine=engine
-    )
-
-
-def _merge_path_masks_impl(
-    order1: Sequence[int],
-    order2_augmented: Sequence[int],
-    split_index: int,
-    columns: Sequence[int],
-    *,
-    stats: SolverStats | None = None,
-    engine: str | None = None,
-) -> list[int] | None:
-    order2_augmented = list(order2_augmented)
-    w = order2_augmented.index(split_index)
-    order2 = order2_augmented[:w] + order2_augmented[w + 1 :]
-    a1 = mask_from_indices(order1)
-    a2 = mask_from_indices(order2)
-    crossing = [c for c in columns if (c & a1) and (c & a2)]
-
-    merged = cheap_path_splice(order1, order2, w, crossing, stats)
-    if merged is not None:
-        return merged
-
-    return merge_path(
-        list(order1),
-        order2_augmented,
-        split_index,
-        [frozenset(mask_to_indices(c)) for c in columns],
-        stats=stats,
-        engine=engine,
-    )
 
 
 def merge_cycle_masks(

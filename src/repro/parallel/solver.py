@@ -44,6 +44,7 @@ from ..core.indexed import (
     IndexedEnsemble,
     _component_ensemble,
     _effective_masks,
+    _needs_solve,
     _normalised_masks,
     _split,
     solve_cycle_indexed,
@@ -98,10 +99,7 @@ class ParallelSolver:
         if self._closed:
             raise ParallelError("solver is closed")
         if self._pool is None:
-            with current_tracer().span(
-                "pool.spawn", workers=self.workers, kind="parallel"
-            ):
-                self._pool = ServePool(self.workers)
+            self._pool = ServePool(self.workers)
         return self._pool
 
     def close(self) -> None:
@@ -208,13 +206,13 @@ class ParallelSolver:
         n = indexed.num_atoms
         tracer = current_tracer()
         with tracer.span("parallel.components", n=n, m=len(columns)):
-            components = _split(n, columns)
+            components = _split(indexed.universe_mask, columns)
         if len(components) < 2:
             return _SERIAL
         if self.fanout == "auto" and not parallel_fanout_worthwhile(
             sum(c.bit_count() for c in columns),
             workers=self.workers,
-            tasks=sum(1 for members, rows in components if _is_task(members, rows)),
+            tasks=sum(1 for members, rows in components if _needs_solve(members, rows)),
             cold=self._pool is None,
         ):
             return _SERIAL
@@ -266,7 +264,7 @@ class ParallelSolver:
         for members, rows in components:
             if stats is not None:
                 stats.enter(1, len(members), len(rows), 0)
-            if _is_task(members, rows):
+            if _needs_solve(members, rows):
                 part = _component_ensemble(members, [columns[j] for j in rows])
                 futures.append((len(layouts), pool.submit(part, engine=engine)))
             layouts.append(members)
@@ -281,11 +279,6 @@ class ParallelSolver:
             stats.parallel_tasks += len(futures)
             stats.parallel_task_seconds += busy.value - busy_before
         return None if rejected else layouts
-
-
-def _is_task(members: list[int], rows: list[int]) -> bool:
-    """Whether a component is solved by a worker rather than laid out inline."""
-    return len(members) > 2 and bool(rows)
 
 
 #: sentinel: the fan-out path declined and the caller should run serially.

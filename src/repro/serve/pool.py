@@ -368,15 +368,16 @@ class ServePool:
         self.metrics = MetricsRegistry()
         self._started = time.perf_counter()
 
-        self._fleet = Fleet(
-            workers,
-            _serve_bundle,
-            max_task_retries=max_task_retries,
-            metrics=self.metrics,
-            on_result=self._on_result,
-            on_lost=self._on_lost,
-            on_retry=self._replay_session,
-        )
+        with current_tracer().span("pool.spawn", workers=workers):
+            self._fleet = Fleet(
+                workers,
+                _serve_bundle,
+                max_task_retries=max_task_retries,
+                metrics=self.metrics,
+                on_result=self._on_result,
+                on_lost=self._on_lost,
+                on_retry=self._replay_session,
+            )
         self._collector = threading.Thread(
             target=self._collect, name="repro-serve-collector", daemon=True
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 
 import pytest
@@ -214,6 +215,9 @@ class TestTrace:
         assert {r["name"] for r in worker_spans} == {"worker.serve.task"}
         pids = {r["pid"] for r in worker_spans}
         assert os.getpid() not in pids and len(pids) >= 2
+        # both legs spawn a pool, and each spawn is one pool.spawn span
+        rows = json.loads(paths["calibration"].read_text())["rows"]
+        assert {r["term"]: r["spans"] for r in rows}["pool_startup_work"] == 2
 
 
 class TestServeIncremental:

@@ -1,9 +1,10 @@
 """Tests for the integer-indexed solver kernel (repro.core.indexed / bitset).
 
-Covers the bitmask primitives, the :class:`IndexedEnsemble` structural
-operations against their :class:`Ensemble` counterparts, the degenerate-input
-suite, and the kernel-vs-reference equivalence sweep over the generator
-families (C1P positives, perturbed/Tucker negatives, circular instances).
+Covers the bitmask primitives, the :class:`IndexedEnsemble` compilation and
+the kernel's Tucker transform against their :class:`Ensemble` counterparts,
+the components branch, the degenerate-input suite, and the kernel-vs-reference
+equivalence sweep over the generator families (C1P positives,
+perturbed/Tucker negatives, circular instances).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.bitset import (
     mask_from_indices,
     mask_to_indices,
 )
+from repro.core.indexed import _tucker_masks
 from repro.ensemble import verify_circular_layout, verify_linear_layout
 from repro.generators import (
     non_c1p_ensemble,
@@ -126,76 +128,51 @@ class TestIndexedEnsemble:
         with pytest.raises(InvalidEnsembleError):
             IndexedEnsemble(("a",), (0b10,))
 
-    def test_restrict_redensifies(self):
-        ens = Ensemble(tuple(range(5)), (frozenset({1, 2}), frozenset({3, 4})))
-        indexed = IndexedEnsemble.from_ensemble(ens)
-        sub = indexed.restrict(mask_from_indices([1, 2]))
-        assert sub.atoms == (1, 2)
-        assert sub.masks == (0b11,)
-
-    def test_components_match_ensemble(self, rng):
-        for _ in range(10):
-            ens = random_ensemble(8, 5, 0.3, rng)
-            indexed = IndexedEnsemble.from_ensemble(ens)
-            comp_atoms = {
-                tuple(indexed.atoms[i] for i in mask_to_indices(mask))
-                for mask in indexed.components(effective=False)
-            }
-            assert comp_atoms == {tuple(c) for c in ens.components()}
-
-    def test_tucker_transform_rejects_colliding_marker(self):
-        from repro.errors import InvalidEnsembleError
-
-        indexed = IndexedEnsemble(("__r__", "a", "b"), (0b111,))
-        with pytest.raises(InvalidEnsembleError):
-            indexed.tucker_transform()
-        transformed = indexed.tucker_transform(new_atom="__s__")
-        assert transformed.atoms[-1] == "__s__"
-
     def test_tucker_transform_matches_ensemble(self, rng):
+        # The kernel's Case 2b transform: the fresh atom r is index n.
         for _ in range(10):
             inst = random_c1p_ensemble(7, 5, rng)
             indexed = IndexedEnsemble.from_ensemble(inst.ensemble)
-            transformed = indexed.tucker_transform().to_ensemble()
+            n = indexed.num_atoms
+            masks = _tucker_masks((1 << (n + 1)) - 1, n + 1, indexed.masks)
+            atoms = indexed.atoms + ("__r__",)
+            transformed = {
+                frozenset(atoms[i] for i in mask_to_indices(mask)) for mask in masks
+            }
             expected = inst.ensemble.tucker_transform("__r__")
-            assert set(transformed.columns) == set(expected.columns)
+            assert transformed == set(expected.columns)
 
-    def test_verify_indices(self):
-        ens = Ensemble((10, 20, 30), (frozenset({10, 20}),))
-        indexed = IndexedEnsemble.from_ensemble(ens)
-        assert indexed.verify_linear_indices([2, 0, 1])
-        assert not indexed.verify_linear_indices([1, 0])  # not a permutation
-        assert not indexed.verify_linear_indices([0, 2, 1])  # column split
-        assert indexed.verify_circular_indices([1, 2, 0])  # wraps around
+
+# ---------------------------------------------------------------------- #
+# the components branch
+# ---------------------------------------------------------------------- #
+class TestComponentsBranch:
+    def test_trivial_components_are_laid_out_inline(self, monkeypatch):
+        # Two column-bearing components and 2,993 uncovered atoms: only the
+        # top level and the two components cost a recursive call, while
+        # the stats still enter every component as its own subproblem.
+        import repro.core.indexed as indexed_module
+
+        ens = Ensemble(tuple(range(3000)), ({0, 1, 2}, {10, 11, 12, 13}))
+        calls = []
+        path_rec = indexed_module._path_rec
+
+        def counting(*args):
+            calls.append(args[0])
+            return path_rec(*args)
+
+        monkeypatch.setattr(indexed_module, "_path_rec", counting)
+        stats = SolverStats()
+        order = solve_path_indexed(IndexedEnsemble.from_ensemble(ens), stats)
+        assert order == list(range(3000))
+        assert len(calls) == 3
+        assert stats.subproblems == 2996
 
 
 # ---------------------------------------------------------------------- #
 # mask merge entry points
 # ---------------------------------------------------------------------- #
 class TestMaskMergeEntryPoints:
-    def test_merge_path_masks_cheap_splice(self):
-        from repro.core.merge import merge_path_masks
-
-        # side 1 = {0, 1}; side 2 = {2, 3} with split marker 4 between them;
-        # crossing column {1, 2} forces 1 adjacent to 2.
-        columns = [mask_from_indices([0, 1]), mask_from_indices([1, 2])]
-        merged = merge_path_masks([0, 1], [2, 4, 3], 4, columns)
-        assert merged is not None
-        assert all_consecutive(merged, columns)
-        assert sorted(merged) == [0, 1, 2, 3]
-
-    def test_merge_path_masks_rejects_impossible_crossing(self):
-        from repro.core.merge import merge_path_masks
-
-        # both 0 and 1 would have to sit next to both 2 and 3: impossible.
-        columns = [
-            mask_from_indices([0, 2]),
-            mask_from_indices([1, 2]),
-            mask_from_indices([0, 3]),
-            mask_from_indices([1, 3]),
-        ]
-        assert merge_path_masks([0, 1], [2, 4, 3], 4, columns) is None
-
     def test_merge_cycle_masks_glues_paths(self):
         from repro.core.merge import merge_cycle_masks
 

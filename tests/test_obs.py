@@ -430,6 +430,15 @@ class TestServePoolTracing:
         _assert_stitched(spans)
         assert "serve.certify" in {s.name for s in spans}
 
+    def test_spawn_opens_one_pool_spawn_span(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pool = ServePool(1)
+        pool.close()
+        spawns = [s for s in tracer.spans() if s.name == "pool.spawn"]
+        assert len(spawns) == 1
+        assert spawns[0].tags["workers"] == 1
+
     def test_pool_utilization_reads_between_zero_and_one(self):
         with ServePool(1) as pool:
             pool.submit(_two_block_instance()).result(30)

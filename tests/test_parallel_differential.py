@@ -8,7 +8,8 @@ sweep runs with ``fanout="always"`` so the cost model cannot quietly route
 examples back to the serial kernel: every multi-component example
 exercises the parent-side split, one wave of real worker sub-solves on the
 solver's pool and the parent's final verification; a property ties that
-split to the kernel's own ``_components``.  The CI job
+split (the kernel's own Step 1, ``_split``) to the label-level
+``Ensemble.components()``.  The CI job
 (``parallel-differential``) replays it at 500 fixed-seed examples via
 ``HYPOTHESIS_PROFILE=parallel-ci``.
 
@@ -47,7 +48,6 @@ from repro.core import (
 )
 from repro.core.bitset import mask_to_indices
 from repro.core.indexed import (
-    _components,
     _effective_masks,
     _normalised_masks,
     _split,
@@ -173,23 +173,30 @@ class TestDifferentialSweep:
 class TestSplit:
     @given(column_lists())
     def test_split_is_the_kernels_step_one(self, drawn):
-        # The parent-side split must be the kernel's own _components on
-        # every top-level column list: the same components in the same
-        # order, each with the columns the kernel hands its sub-solve.
+        # The kernel's one component split, over the whole universe and over
+        # a sparse sub-problem (every other atom), on every column list it
+        # is handed: the label-level reference's components in the same
+        # order, each with exactly the columns that touch it.
         n, raw = drawn
-        universe = (1 << n) - 1
-        for columns in (
-            raw,
-            _effective_masks(universe, raw),
-            _normalised_masks(universe, raw),
-        ):
-            split = _split(n, columns)
-            components = _components(universe, columns)
-            assert [members for members, _ in split] == [
-                mask_to_indices(comp) for comp in components
-            ]
-            for (_, rows), comp in zip(split, components):
-                assert rows == [j for j, c in enumerate(columns) if c & comp]
+        for avail in ((1 << n) - 1, sum(1 << a for a in range(0, n, 2))):
+            atoms = mask_to_indices(avail)
+            live = [c & avail for c in raw]
+            for columns in (
+                live,
+                _effective_masks(avail, live),
+                _normalised_masks(avail, live),
+            ):
+                reference = Ensemble(
+                    atoms, [frozenset(mask_to_indices(c)) for c in columns]
+                ).components()
+                split = _split(avail, columns)
+                assert [tuple(members) for members, _ in split] == reference
+                for members, rows in split:
+                    touching = [
+                        j for j, c in enumerate(columns)
+                        if set(mask_to_indices(c)) & set(members)
+                    ]
+                    assert rows == touching
 
 
 class TestStatsContract:
