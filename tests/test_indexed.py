@@ -31,7 +31,7 @@ from repro.core.bitset import (
     mask_from_indices,
     mask_to_indices,
 )
-from repro.core.indexed import _tucker_masks
+from repro.core.indexed import _component_ensemble, _tucker_masks
 from repro.ensemble import verify_circular_layout, verify_linear_layout
 from repro.generators import (
     non_c1p_ensemble,
@@ -128,6 +128,18 @@ class TestIndexedEnsemble:
         with pytest.raises(InvalidEnsembleError):
             IndexedEnsemble(("a",), (0b10,))
 
+    def test_component_ensemble_redensifies(self):
+        # Atoms 1, 2 and 4 of a split component become indices 0, 1 and 2,
+        # labelled by default with their old indices.
+        masks = [mask_from_indices([1, 2]), mask_from_indices([2, 4])]
+        part = _component_ensemble([1, 2, 4], masks)
+        assert part.atoms == (1, 2, 4)
+        assert part.masks == (0b011, 0b110)
+        # members 0 .. k-1 keep their masks; labels and names pass through
+        part = _component_ensemble([0, 1], [0b11], atoms=("a", "b"), names=("c",))
+        assert part.to_ensemble().columns == (frozenset("ab"),)
+        assert part.to_ensemble().column_names == ("c",)
+
     def test_tucker_transform_matches_ensemble(self, rng):
         # The kernel's Case 2b transform: the fresh atom r is index n.
         for _ in range(10):
@@ -141,6 +153,23 @@ class TestIndexedEnsemble:
             }
             expected = inst.ensemble.tucker_transform("__r__")
             assert transformed == set(expected.columns)
+
+    def test_kernel_transform_atom_cannot_collide_with_a_label(self):
+        # The kernel's r atom is the fresh index n, never a label, so a
+        # universe that already holds the label "__r__" still takes Case 2b.
+        atoms = ("__r__", "a1", "a2", "a3", "a4", "a5")
+        ens = Ensemble(
+            atoms,
+            (
+                frozenset(atoms) - {"a4"},
+                frozenset(atoms) - {"__r__"},
+                frozenset({"a1", "a2", "a5"}),
+            ),
+        )
+        stats = SolverStats()
+        order = path_realization(ens, stats)
+        assert stats.case_counts.get("case2b") == 1
+        assert order is not None and verify_linear_layout(ens, order)
 
 
 # ---------------------------------------------------------------------- #
@@ -168,11 +197,94 @@ class TestComponentsBranch:
         assert len(calls) == 3
         assert stats.subproblems == 2996
 
+    def test_cycle_trivial_components_are_laid_out_inline(self, monkeypatch):
+        # The cycle kernel's components branch shares the inline layout: the
+        # two column-bearing components are the only path solves.
+        import repro.core.indexed as indexed_module
+
+        ens = Ensemble(tuple(range(3000)), ({0, 1, 2}, {10, 11, 12, 13}))
+        calls = []
+        path_rec = indexed_module._path_rec
+
+        def counting(*args):
+            calls.append(args[0])
+            return path_rec(*args)
+
+        monkeypatch.setattr(indexed_module, "_path_rec", counting)
+        stats = SolverStats()
+        order = solve_cycle_indexed(IndexedEnsemble.from_ensemble(ens), stats)
+        assert order == list(range(3000))
+        assert len(calls) == 2
+        assert stats.case_counts == {"cycle-components": 1}
+        assert stats.subproblems == 2996
+
+    @pytest.mark.parametrize("realize", [path_realization, cycle_realization])
+    def test_sparse_components_record_the_reference_recursion(self, realize):
+        # Short columns over a wide universe leave uncovered atoms and
+        # one- and two-atom components: laid out inline, they still give the
+        # reference kernel's layout and its recursion record, call for call.
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(4, 30)
+            columns = []
+            for _ in range(rng.randint(0, 6)):
+                start = rng.randrange(n)
+                columns.append(
+                    frozenset(range(start, min(n, start + rng.randint(1, 4))))
+                )
+            ens = Ensemble(tuple(range(n)), tuple(columns))
+            indexed, reference = SolverStats(), SolverStats()
+            order = realize(ens, indexed)
+            assert order == realize(ens, reference, kernel="reference")
+            for name in (
+                "subproblems",
+                "max_depth",
+                "shapes_per_level",
+                "case_counts",
+                "splits",
+            ):
+                assert getattr(indexed, name) == getattr(reference, name), name
+
 
 # ---------------------------------------------------------------------- #
-# mask merge entry points
+# the kernel's merge steps
 # ---------------------------------------------------------------------- #
 class TestMaskMergeEntryPoints:
+    def test_cheap_path_splice_splices_at_the_split_gap(self):
+        from repro.core.merge import cheap_path_splice
+
+        # side 1 = {0, 1}; side 2 = {2, 3} with the split gap between them
+        # (split marker 4 in the merge_path tests); crossing column {1, 2}
+        # forces 1 adjacent to 2, so only the reversed side 1 fits.
+        crossing = [mask_from_indices([1, 2])]
+        stats = SolverStats()
+        merged = cheap_path_splice([0, 1], [2, 3], 1, crossing, stats)
+        assert merged == [2, 1, 0, 3]
+        assert (stats.merge_candidates, stats.merges) == (2, 1)
+
+    def test_cheap_path_splice_rejects_impossible_crossing(self):
+        from repro.core.merge import cheap_path_splice
+
+        # both 0 and 1 would have to sit next to both 2 and 3: impossible.
+        crossing = [mask_from_indices(c) for c in ([0, 2], [1, 2], [0, 3], [1, 3])]
+        assert cheap_path_splice([0, 1], [2, 3], 1, crossing) is None
+
+    def test_merge_path_splices_at_the_split_marker(self):
+        from repro.core.merge import merge_path
+
+        columns = [frozenset({0, 1}), frozenset({1, 2})]
+        merged = merge_path([0, 1], [2, 4, 3], 4, columns)
+        assert merged is not None and sorted(merged) == [0, 1, 2, 3]
+        assert all_consecutive(merged, [mask_from_indices(c) for c in columns])
+
+    def test_merge_path_rejects_impossible_crossing(self):
+        from repro.core.merge import merge_path
+
+        # The full alignment machinery, the kernel's last merge step, finds
+        # no realignment of either side that fits the crossing either.
+        columns = [frozenset(c) for c in ({0, 2}, {1, 2}, {0, 3}, {1, 3})]
+        assert merge_path([0, 1], [2, 4, 3], 4, columns) is None
+
     def test_merge_cycle_masks_glues_paths(self):
         from repro.core.merge import merge_cycle_masks
 
